@@ -136,11 +136,6 @@ def degree(m: Monomial) -> int:
     return sum(degree(a) for a in m.args)
 
 
-def max_exp(m: Monomial) -> int:
-    ls = leaves(m)
-    return max((l.exp for l in ls), default=0)
-
-
 def alpha_mono(m: Monomial, k: int) -> Monomial:
     """Apply the twisting map k times: push exponents onto leaves, fix the unit."""
     if k < 0:

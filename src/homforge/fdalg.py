@@ -13,13 +13,30 @@ import itertools
 import json
 import os
 import random
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .expr import Leaf, Monomial, Poly, Signature, UNIT
+from .expr import (
+    Leaf,
+    Monomial,
+    Poly,
+    Signature,
+    UNIT,
+    apply_alpha,
+    apply_op,
+    leaves,
+    mul,
+    poly_from_json,
+    poly_to_json,
+    unshuffle_pairs,
+)
 from .homify import (
     IdentitySystem,
+    bracket,
     catalog,
+    hom_associator,
+    hom_jacobiator,
     max_bracket_length,
     sabinin_axiom_instances,
     sabinin_signature,
@@ -89,6 +106,24 @@ class FdalgError(ValueError):
     pass
 
 
+_RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
+
+
+def _coeff_from_json(c):
+    """A coefficient read from JSON: an int or a "p/q" string, never a float."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return rat(c)
+    if isinstance(c, str) and _RATIONAL.fullmatch(c):
+        return rat(c)
+    raise FdalgError(f'coefficient {c!r} is neither an integer nor a "p/q" string')
+
+
+def _index_from_json(i, dim: int) -> int:
+    if isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim:
+        return i
+    raise FdalgError(f"basis index {i!r} is not an integer in 0..{dim - 1}")
+
+
 class MultilinearOp:
     """A multilinear operation given by its structure-constant tensor.
 
@@ -113,11 +148,12 @@ class MultilinearOp:
         entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
         for item in items:
             *idx, k, c = item
-            idx = tuple(int(i) for i in idx)
             if len(idx) != arity:
                 raise FdalgError(f"entry {item!r} does not match arity {arity}")
-            entries.setdefault(idx, {})
-            entries[idx][int(k)] = entries[idx].get(int(k), ZERO) + rat(c)
+            idx = tuple(_index_from_json(i, dim) for i in idx)
+            k = _index_from_json(k, dim)
+            out = entries.setdefault(idx, {})
+            out[k] = out.get(k, ZERO) + _coeff_from_json(c)
         return MultilinearOp(name, arity, dim, entries)
 
     def to_sparse(self) -> List[List]:
@@ -282,12 +318,13 @@ class AlgebraSpec:
             ops[o["name"]] = MultilinearOp.from_sparse(
                 o["name"], int(o["arity"]), dim, o.get("entries", [])
             )
+        unit = data.get("unit")
         return AlgebraSpec(
             dim,
             data["basis"],
             ops,
-            matrix(data["alpha"]),
-            vec(data["unit"]) if data.get("unit") is not None else None,
+            tuple(tuple(_coeff_from_json(c) for c in row) for row in data["alpha"]),
+            tuple(_coeff_from_json(c) for c in unit) if unit is not None else None,
             name=data.get("name", ""),
             cls=data.get("class", ""),
         )
@@ -296,11 +333,6 @@ class AlgebraSpec:
 def load_algebra_file(path: str) -> AlgebraSpec:
     with open(path) as fh:
         return AlgebraSpec.from_json(json.load(fh))
-
-
-def save_algebra_file(spec: AlgebraSpec, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_json(), fh, indent=2)
 
 
 _BUILTIN_DIR = os.path.join(os.path.dirname(__file__), "algebras")
@@ -413,7 +445,7 @@ def _variable_multiplicities(p: Poly) -> Dict[str, int]:
     mults: Optional[Dict[str, int]] = None
     for m in p.terms:
         cur: Dict[str, int] = {}
-        for l in _poly_leaves(m):
+        for l in leaves(m):
             cur[l.base] = cur.get(l.base, 0) + 1
         if mults is None:
             mults = cur
@@ -422,12 +454,6 @@ def _variable_multiplicities(p: Poly) -> Dict[str, int]:
                 "identity is not homogeneous: variable degrees differ across monomials"
             )
     return mults or {}
-
-
-def _poly_leaves(m: Monomial) -> List[Leaf]:
-    from .expr import leaves
-
-    return leaves(m)
 
 
 def polarization_vectors(dim: int, basis: Sequence[str], mult: int) -> List[Tuple[str, Vector]]:
@@ -453,34 +479,30 @@ def polarization_vectors(dim: int, basis: Sequence[str], mult: int) -> List[Tupl
     return out
 
 
-def _combo_at(candidate_sets: Sequence[Sequence], index: int):
+def _failures(
+    spec: AlgebraSpec, ident: Poly, variables: Sequence[str],
+    candidate_sets: Sequence[Sequence], lo: int, hi: int, limit: int,
+) -> List[Tuple[int, Dict[str, str], Vector]]:
+    """(tuple index, labels, defect) of the first `limit` failing tuples in [lo, hi)."""
     out = []
-    for cs in reversed(candidate_sets):
-        index, r = divmod(index, len(cs))
-        out.append(cs[r])
-    return tuple(reversed(out))
-
-
-def _check_chunk(payload):
-    spec_json, ident_terms, variables, mults, lo, hi, label, max_witnesses = payload
-    from .expr import poly_from_json
-
-    spec = AlgebraSpec.from_json(spec_json)
-    ident = poly_from_json(ident_terms)
-    candidate_sets = [
-        polarization_vectors(spec.dim, spec.basis, mults[v]) for v in variables
-    ]
-    witnesses = []
-    for index in range(lo, hi):
-        combo = _combo_at(candidate_sets, index)
+    combos = itertools.islice(itertools.product(*candidate_sets), lo, hi)
+    for index, combo in enumerate(combos, lo):
         assignment = {v: w for v, (_, w) in zip(variables, combo)}
         defect = eval_poly(spec, ident, assignment)
         if not is_zero_vec(defect):
-            labels = {v: lab for v, (lab, _) in zip(variables, combo)}
-            witnesses.append((label, labels, defect))
-            if len(witnesses) >= max_witnesses:
+            out.append((index, {v: lab for v, (lab, _) in zip(variables, combo)}, defect))
+            if len(out) >= limit:
                 break
-    return hi - lo, witnesses
+    return out
+
+
+def _check_chunk(payload):
+    spec_json, ident_terms, variables, mults, lo, hi, limit = payload
+    spec = AlgebraSpec.from_json(spec_json)
+    candidate_sets = [
+        polarization_vectors(spec.dim, spec.basis, mults[v]) for v in variables
+    ]
+    return _failures(spec, poly_from_json(ident_terms), variables, candidate_sets, lo, hi, limit)
 
 
 def check_identity(
@@ -492,10 +514,14 @@ def check_identity(
     """Evaluate every identity of the system on enough tuples to be exhaustive.
 
     Multilinear identities are checked on all basis tuples; identities with a
-    repeated variable are checked on polarization sums as well. With jobs > 1
-    the tuple space is split into contiguous chunks evaluated in worker
-    processes and merged in order, so reports are deterministic.
+    repeated variable are checked on polarization sums as well. The check
+    stops at the tuple that brings max_witnesses witnesses; `checked` counts
+    the tuples up to there. With jobs > 1 the tuple space is split into
+    contiguous chunks evaluated in worker processes and merged in order, so
+    the report does not depend on jobs.
     """
+    if max_witnesses < 1:
+        raise FdalgError("max_witnesses must be at least 1")
     report = CheckReport(name=system.name, status="pass")
     for pos, ident in enumerate(system.identities):
         mults = _variable_multiplicities(ident)
@@ -507,48 +533,31 @@ def check_identity(
             report.notes.append(
                 f"identity {pos}: non-multilinear, checked on polarization sums"
             )
-        label = f"{system.name}[{pos}]"
         total = 1
         for cs in candidate_sets:
             total *= len(cs)
+        room = max_witnesses - len(report.witnesses)
         if jobs > 1 and total >= 4 * jobs:
             from concurrent.futures import ProcessPoolExecutor
-            from .expr import poly_to_json
 
             step = -(-total // jobs)
             payloads = [
-                (
-                    spec.to_json(),
-                    poly_to_json(ident),
-                    variables,
-                    mults,
-                    lo,
-                    min(lo + step, total),
-                    label,
-                    max_witnesses,
-                )
+                (spec.to_json(), poly_to_json(ident), variables, mults,
+                 lo, min(lo + step, total), room)
                 for lo in range(0, total, step)
             ]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for checked, wits in pool.map(_check_chunk, payloads):
-                    report.checked += checked
-                    for w in wits:
-                        if len(report.witnesses) < max_witnesses:
-                            report.witnesses.append(w)
-            if report.witnesses:
-                report.status = "fail"
-                return report
-            continue
-        for combo in itertools.product(*candidate_sets):
-            assignment = {v: w for v, (_, w) in zip(variables, combo)}
-            defect = eval_poly(spec, ident, assignment)
-            report.checked += 1
-            if not is_zero_vec(defect):
-                report.status = "fail"
-                labels = {v: lab for v, (lab, _) in zip(variables, combo)}
-                report.witnesses.append((label, labels, defect))
-                if len(report.witnesses) >= max_witnesses:
-                    return report
+                found = [f for chunk in pool.map(_check_chunk, payloads) for f in chunk]
+        else:
+            found = _failures(spec, ident, variables, candidate_sets, 0, total, room)
+        label = f"{system.name}[{pos}]"
+        report.witnesses += [(label, labels, defect) for _, labels, defect in found[:room]]
+        if found:
+            report.status = "fail"
+        if len(found) >= room:
+            report.checked += found[room - 1][0] + 1
+            return report
+        report.checked += total
     return report
 
 
@@ -598,42 +607,37 @@ def hom_version(spec: AlgebraSpec, check: bool = True) -> AlgebraSpec:
     )
 
 
+def tabulate(
+    name: str, arity: int, dim: int, value: Callable[[Tuple[int, ...]], Vector]
+) -> MultilinearOp:
+    """The operation whose value on each basis index tuple idx is value(idx)."""
+    return MultilinearOp(
+        name, arity, dim,
+        {idx: dict(enumerate(value(idx)))
+         for idx in itertools.product(range(dim), repeat=arity)},
+    )
+
+
+def tabulate_poly(
+    name: str, spec: AlgebraSpec, template: Poly, variables: Sequence[str]
+) -> MultilinearOp:
+    """The multilinear operation (variables) -> template, evaluated on spec."""
+    basis = [spec.basis_vector(i) for i in range(spec.dim)]
+    return tabulate(
+        name, len(variables), spec.dim,
+        lambda idx: eval_poly(spec, template, {v: basis[i] for v, i in zip(variables, idx)}),
+    )
+
+
 def commutator_table(spec: AlgebraSpec, op: str = "mu") -> MultilinearOp:
-    mu = spec.ops[op]
-    entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            val = vsub(mu.basis_value((i, j)), mu.basis_value((j, i)))
-            if not is_zero_vec(val):
-                entries[(i, j)] = {k: c for k, c in nonzeros(val)}
-    return MultilinearOp("mu", 2, spec.dim, entries)
+    a, b = Poly.gen("a"), Poly.gen("b")
+    return tabulate_poly("mu", spec, mul(a, b, op) - mul(b, a, op), "ab")
 
 
 def hom_associator_table(spec: AlgebraSpec, op: str = "mu", name: str = "tri") -> MultilinearOp:
     """(a,b,c)_alpha = (ab) alpha(c) - alpha(a) (bc) as a structure tensor."""
-    mu = spec.ops[op]
-    entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
-    for idx in itertools.product(range(spec.dim), repeat=3):
-        a, b, c = (spec.basis_vector(i) for i in idx)
-        val = vsub(
-            mu.eval([mu.eval([a, b]), spec.apply_alpha_vec(c, 1)]),
-            mu.eval([spec.apply_alpha_vec(a, 1), mu.eval([b, c])]),
-        )
-        if not is_zero_vec(val):
-            entries[idx] = {k: cc for k, cc in nonzeros(val)}
-    return MultilinearOp(name, 3, spec.dim, entries)
-
-
-def associator_table(spec: AlgebraSpec, op: str = "mu", name: str = "tri") -> MultilinearOp:
-    """Ordinary associator (ab)c - a(bc)."""
-    mu = spec.ops[op]
-    entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
-    for idx in itertools.product(range(spec.dim), repeat=3):
-        a, b, c = (spec.basis_vector(i) for i in idx)
-        val = vsub(mu.eval([mu.eval([a, b]), c]), mu.eval([a, mu.eval([b, c])]))
-        if not is_zero_vec(val):
-            entries[idx] = {k: cc for k, cc in nonzeros(val)}
-    return MultilinearOp(name, 3, spec.dim, entries)
+    a, b, c = (Poly.gen(v) for v in "abc")
+    return tabulate_poly(name, spec, hom_associator(a, b, c, op), "abc")
 
 
 def akivis_ops(spec: AlgebraSpec, hom: bool = True, name: str = "") -> AlgebraSpec:
@@ -642,7 +646,7 @@ def akivis_ops(spec: AlgebraSpec, hom: bool = True, name: str = "") -> AlgebraSp
     With hom=True this is the Hom-Akivis structure attached to a
     multiplicative Hom-algebra; with hom=False, the ordinary Akivis structure.
     """
-    tri = hom_associator_table(spec) if hom else associator_table(spec)
+    tri = hom_associator_table(spec if hom else classical(spec))
     return AlgebraSpec(
         spec.dim,
         spec.basis,
@@ -715,99 +719,45 @@ def sabinin_from(
                 f"algebra does not satisfy the {system} identities; "
                 f"witness {rep.witnesses[0]}"
             )
-    dim = spec.dim
-    mu = spec.ops["mu"]
-    tri = spec.ops.get("tri")
-    brackets: Dict[int, MultilinearOp] = {}
-
-    neg_mu = {}
-    for i in range(dim):
-        for j in range(dim):
-            val = mu.basis_value((i, j))
-            if not is_zero_vec(val):
-                neg_mu[(i, j)] = {k: -c for k, c in nonzeros(val)}
-    brackets[0] = MultilinearOp("br0", 2, dim, neg_mu)
-
-    def base_bracket_1(ci: int, ai: int, bi: int) -> Vector:
-        a, b, c = (spec.basis_vector(i) for i in (ai, bi, ci))
-        if cls == "lie":
-            return zero_vec(dim)
-        if cls == "malcev":
-            jac = vadd(
-                vadd(
-                    mu.eval([mu.eval([a, b]), spec.apply_alpha_vec(c, 1)]),
-                    mu.eval([mu.eval([b, c]), spec.apply_alpha_vec(a, 1)]),
-                ),
-                mu.eval([mu.eval([c, a]), spec.apply_alpha_vec(b, 1)]),
-            )
-            return vscale(rat(-1, 3), jac)
-        if cls == "bol":
-            return vsub(
-                tri.eval([a, b, c]),
-                mu.eval([mu.eval([a, b]), spec.apply_alpha_vec(c, 1)]),
-            )
-        return tri.eval([a, b, c])  # ly
-
-    ent1: Dict[Tuple[int, ...], Dict[int, object]] = {}
+    a, b, c = (Poly.gen(v) for v in "abc")
+    printed = {  # <c; a, b>
+        "lie": Poly.zero(),
+        "malcev": hom_jacobiator(a, b, c).scaled(rat(-1, 3)),
+        "bol": apply_op("tri", [a, b, c]) - mul(mul(a, b), apply_alpha(c, 1)),
+        "ly": apply_op("tri", [a, b, c]),
+    }
+    brackets = {0: tabulate_poly("br0", spec, -mul(a, b), "ab")}
     if cutoff >= 1:
-        for idx in itertools.product(range(dim), repeat=3):
-            val = base_bracket_1(*idx)
-            if not is_zero_vec(val):
-                ent1[idx] = dict(nonzeros(val))
-        brackets[1] = MultilinearOp("br1", 3, dim, ent1)
-
-    def recursive_value(word: Tuple[int, ...], ai: int, bi: int) -> Vector:
-        n = len(word)
-        a, b = spec.basis_vector(ai), spec.basis_vector(bi)
-        if cls == "bol":
-            ci, xs = word[0], word[1:]
-        else:
-            xs, ci = word[:-1], word[-1]
-        total = zero_vec(dim)
-        for mask in range(1 << len(xs)):
-            left = tuple(xs[i] for i in range(len(xs)) if mask >> i & 1)
-            right = tuple(xs[i] for i in range(len(xs)) if not mask >> i & 1)
-            k = len(right) + 1
-            inner = brackets[len(right)].eval(
-                [*(spec.basis_vector(i) for i in right), a, b]
-            )
-            word_vecs = [
-                spec.apply_alpha_vec(spec.basis_vector(i), k) for i in left
-            ]
-            cvec = spec.apply_alpha_vec(spec.basis_vector(ci), k)
-            total = vadd(
-                total, brackets[len(left)].eval([*word_vecs, cvec, inner])
-            )
-        if cls == "bol":
-            total = vscale(-ONE, total)
-        if cls == "ly":
-            word_vecs = [
-                spec.apply_alpha_vec(spec.basis_vector(i), 1) for i in xs
-            ]
-            cvec = spec.apply_alpha_vec(spec.basis_vector(ci), 1)
-            total = vadd(
-                total,
-                brackets[len(xs)].eval([*word_vecs, cvec, mu.eval([a, b])]),
-            )
-        return total
-
+        brackets[1] = tabulate_poly("br1", spec, printed[cls], "cab")
     for n in range(2, cutoff + 1):
-        entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
-        for word_idx in itertools.product(range(dim), repeat=n):
-            for ai in range(dim):
-                for bi in range(dim):
-                    val = recursive_value(word_idx, ai, bi)
-                    if not is_zero_vec(val):
-                        entries[(*word_idx, ai, bi)] = dict(nonzeros(val))
-        brackets[n] = MultilinearOp(f"br{n}", n + 2, dim, entries)
+        # <x c; a, b> (<c x; a, b> for Bol) expands the unshuffle coproduct of x
+        xs = tuple(f"x{i + 1}" for i in range(n - 1))
+        template = Poly.zero()
+        for left, right in unshuffle_pairs(xs):
+            k = len(right) + 1
+            inner = bracket([Poly.gen(l) for l in right], a, b)
+            template = template + bracket(
+                [Poly.gen(l, k) for l in left], Poly.gen("c", k), inner
+            )
+        if cls == "bol":
+            template = -template
+        if cls == "ly":
+            template = template + bracket(
+                [Poly.gen(l, 1) for l in xs], Poly.gen("c", 1), mul(a, b)
+            )
+        ops = {f"br{j}": op for j, op in brackets.items()}
+        ops["mu"] = spec.ops["mu"]
+        lower = AlgebraSpec(spec.dim, spec.basis, ops, spec.alpha)
+        variables = ("c", *xs) if cls == "bol" else (*xs, "c")
+        brackets[n] = tabulate_poly(f"br{n}", lower, template, (*variables, "a", "b"))
 
     phi = {
-        (n, m): MultilinearOp.zero(f"phi{n}_{m}", n + m, dim)
+        (n, m): MultilinearOp.zero(f"phi{n}_{m}", n + m, spec.dim)
         for n in range(1, cutoff + 1)
         for m in range(2, cutoff + 2)
         if n + m <= cutoff + 2
     }
-    return OpFamily(dim, spec.basis, brackets, phi, cutoff)
+    return OpFamily(spec.dim, spec.basis, brackets, phi, cutoff)
 
 
 def family_spec(fam: OpFamily, alpha: Matrix) -> AlgebraSpec:
@@ -815,25 +765,6 @@ def family_spec(fam: OpFamily, alpha: Matrix) -> AlgebraSpec:
     ops = {f"br{n}": op for n, op in fam.brackets.items()}
     ops.update({f"phi{n}_{m}": op for (n, m), op in fam.phi.items()})
     return AlgebraSpec(fam.dim, fam.basis, ops, alpha, name="sabinin_family")
-
-
-def yau_twist_family(fam: OpFamily, alpha: Matrix, beta: Matrix, check: bool = True) -> Tuple[OpFamily, Matrix]:
-    """Twist a Hom-Sabinin family: brackets get beta^(n+1), Phi gets beta^(n+m-1)."""
-    beta = matrix(beta)
-    pseudo = family_spec(fam, alpha)
-    if check:
-        ok, witness = is_morphism(pseudo, beta)
-        if not ok:
-            raise FdalgError(f"beta is not a Sabinin-family morphism; witness {witness}")
-    helper = AlgebraSpec(fam.dim, fam.basis, {}, beta)
-    brackets = {
-        n: op.post_compose(helper.alpha_pow(n + 1)) for n, op in fam.brackets.items()
-    }
-    phi = {
-        (n, m): op.post_compose(helper.alpha_pow(n + m - 1))
-        for (n, m), op in fam.phi.items()
-    }
-    return OpFamily(fam.dim, fam.basis, brackets, phi, fam.cutoff), matmul(beta, alpha)
 
 
 @dataclass

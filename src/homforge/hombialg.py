@@ -154,10 +154,6 @@ def is_primitive(p: Poly) -> bool:
     return delta_poly(p) == want
 
 
-def _leaf_count(m: Monomial) -> int:
-    return degree(m)
-
-
 def delta_summand(m: Monomial, part1: Iterable[int]) -> Tuple[Monomial, Monomial]:
     """One coproduct summand by the partition-labeling rule.
 
@@ -167,7 +163,7 @@ def delta_summand(m: Monomial, part1: Iterable[int]) -> Tuple[Monomial, Monomial
     twisting map to the opposite-label leaves of the other branch. The two
     restricted monomials are returned, with an empty part giving the unit.
     """
-    n = _leaf_count(m)
+    n = degree(m)
     part1 = frozenset(part1)
     if not part1 <= frozenset(range(n)):
         raise ValueError(f"part1 must be a subset of leaf positions 0..{n - 1}")
@@ -222,7 +218,7 @@ def delta_summand(m: Monomial, part1: Iterable[int]) -> Tuple[Monomial, Monomial
 
 def delta_by_partitions(m: Monomial) -> TensorElement:
     """The coproduct as the sum of delta_summand over all ordered partitions."""
-    n = _leaf_count(m)
+    n = degree(m)
     out: Dict[Tuple[Monomial, Monomial], object] = {}
     for mask in range(1 << n):
         part1 = frozenset(i for i in range(n) if mask >> i & 1)

@@ -181,15 +181,21 @@ def _alt_sum(op3, a, b, c) -> Poly:
     return out
 
 
-def _lts_fundamental(alpha_power: int) -> Poly:
+def _lts_fundamental() -> Poly:
     u, v, x, y, z = (_V(n) for n in "uvxyz")
-    A = lambda p: _al(p, alpha_power)
     return (
-        _t(A(u), A(v), _t(x, y, z))
-        - _t(_t(u, v, x), A(y), A(z))
-        - _t(A(x), _t(u, v, y), A(z))
-        - _t(A(x), A(y), _t(u, v, z))
+        _t(u, v, _t(x, y, z))
+        - _t(_t(u, v, x), y, z)
+        - _t(x, _t(u, v, y), z)
+        - _t(x, y, _t(u, v, z))
     )
+
+
+# Classes whose Hom form is the homify twist of every ordinary identity.
+_HOMIFIED = (
+    "associative", "lie", "akivis", "lts", "3lie",
+    "bol", "lie_yamaguti", "btqq", "alternative",
+)
 
 
 def _catalog_builders() -> Dict[str, object]:
@@ -199,25 +205,13 @@ def _catalog_builders() -> Dict[str, object]:
     def associative():
         return IdentitySystem("associative", _SIG_B, (_assoc_ordinary(),), False)
 
-    def hom_associative():
-        return IdentitySystem(
-            "hom_associative",
-            _SIG_B,
-            (_b(_b(x, y), _al(z, 1)) - _b(_al(x, 1), _b(y, z)),),
-            True,
-        )
-
     def lie():
         jac = _b(_b(x, y), z) + _b(_b(y, z), x) + _b(_b(z, x), y)
         return IdentitySystem("lie", _SIG_B, (_b(x, y) + _b(y, x), jac), False)
 
-    def hom_lie():
-        return IdentitySystem(
-            "hom_lie", _SIG_B, (_b(x, y) + _b(y, x), hom_jacobiator(x, y, z)), True
-        )
-
     def hom_malcev():
-        # J_alpha(alpha(x), alpha(y), [x,z]) = [J_alpha(x,y,z), alpha^2(x)]
+        # J_alpha(alpha(x), alpha(y), [x,z]) = [J_alpha(x,y,z), alpha^2(x)];
+        # written out because x repeats, so homify does not apply
         lhs = hom_jacobiator(_al(x, 1), _al(y, 1), _b(x, z))
         rhs = _b(hom_jacobiator(x, y, z), _al(x, 2))
         return IdentitySystem(
@@ -230,19 +224,6 @@ def _catalog_builders() -> Dict[str, object]:
             "akivis", _SIG_BT, (_b(a, b) + _b(b, a), jac - _alt_sum(_t, a, b, c)), False
         )
 
-    def hom_akivis():
-        jac = (
-            _b(_b(a, b), _al(c, 1))
-            + _b(_b(b, c), _al(a, 1))
-            + _b(_b(c, a), _al(b, 1))
-        )
-        return IdentitySystem(
-            "hom_akivis",
-            _SIG_BT,
-            (_b(a, b) + _b(b, a), jac - _alt_sum(_t, a, b, c)),
-            True,
-        )
-
     def lts():
         return IdentitySystem(
             "lts",
@@ -250,145 +231,101 @@ def _catalog_builders() -> Dict[str, object]:
             (
                 _t(x, y, z) + _t(y, x, z),
                 _t(x, y, z) + _t(z, x, y) + _t(y, z, x),
-                _lts_fundamental(0),
+                _lts_fundamental(),
             ),
             False,
-        )
-
-    def hom_lts():
-        return IdentitySystem(
-            "hom_lts",
-            _SIG_T,
-            (
-                _t(x, y, z) + _t(y, x, z),
-                _t(x, y, z) + _t(z, x, y) + _t(y, z, x),
-                _lts_fundamental(2),
-            ),
-            True,
         )
 
     def three_lie():
         return IdentitySystem(
             "3lie",
             _SIG_T,
-            (_t(x, y, z) + _t(y, x, z), _t(x, y, z) - _t(y, z, x), _lts_fundamental(0)),
+            (_t(x, y, z) + _t(y, x, z), _t(x, y, z) - _t(y, z, x), _lts_fundamental()),
             False,
         )
 
-    def hom_3lie():
-        return IdentitySystem(
-            "hom_3lie",
-            _SIG_T,
-            (_t(x, y, z) + _t(y, x, z), _t(x, y, z) - _t(y, z, x), _lts_fundamental(2)),
-            True,
-        )
-
-    def _bol(hom: bool):
-        k = 1 if hom else 0
-        A = lambda p, j=1: _al(p, j * k)
+    def bol():
         b3 = (
-            _t(A(x), A(y), _b(u, v))
-            - _b(_t(x, y, u), A(v, 2))
-            - _b(A(u, 2), _t(x, y, v))
-            - _t(A(u), A(v), _b(x, y))
-            + _b(_b(A(u), A(v)), _b(A(x), A(y)))
+            _t(x, y, _b(u, v))
+            - _b(_t(x, y, u), v)
+            - _b(u, _t(x, y, v))
+            - _t(u, v, _b(x, y))
+            + _b(_b(u, v), _b(x, y))
         )
         b4 = (
-            _t(A(x, 2), A(y, 2), _t(u, v, w))
-            - _t(_t(x, y, u), A(v, 2), A(w, 2))
-            - _t(A(u, 2), _t(x, y, v), A(w, 2))
-            - _t(A(u, 2), A(v, 2), _t(x, y, w))
+            _t(x, y, _t(u, v, w))
+            - _t(_t(x, y, u), v, w)
+            - _t(u, _t(x, y, v), w)
+            - _t(u, v, _t(x, y, w))
         )
-        return (
-            _b(x, y) + _b(y, x),
-            _t(x, y, z) + _t(y, x, z),
-            _t(x, y, z) + _t(z, x, y) + _t(y, z, x),
-            b3,
-            b4,
+        return IdentitySystem(
+            "bol",
+            _SIG_BT,
+            (
+                _b(x, y) + _b(y, x),
+                _t(x, y, z) + _t(y, x, z),
+                _t(x, y, z) + _t(z, x, y) + _t(y, z, x),
+                b3,
+                b4,
+            ),
+            False,
         )
 
-    def bol():
-        return IdentitySystem("bol", _SIG_BT, _bol(False), False)
-
-    def hom_bol():
-        return IdentitySystem("hom_bol", _SIG_BT, _bol(True), True)
-
-    def _ly(hom: bool):
-        k = 1 if hom else 0
-        A = lambda p, j=1: _al(p, j * k)
+    def lie_yamaguti():
         ly2 = (
-            _b(_b(x, y), A(z))
-            + _b(_b(z, x), A(y))
-            + _b(_b(y, z), A(x))
+            _b(_b(x, y), z)
+            + _b(_b(z, x), y)
+            + _b(_b(y, z), x)
             + _t(x, y, z)
             + _t(z, x, y)
             + _t(y, z, x)
         )
-        ly3 = (
-            _t(_b(x, y), A(z), A(u))
-            + _t(_b(z, x), A(y), A(u))
-            + _t(_b(y, z), A(x), A(u))
-        )
-        ly4 = (
-            _t(A(x), A(y), _b(u, v))
-            - _b(_t(x, y, u), A(v, 2))
-            - _b(A(u, 2), _t(x, y, v))
-        )
+        ly3 = _t(_b(x, y), z, u) + _t(_b(z, x), y, u) + _t(_b(y, z), x, u)
+        ly4 = _t(x, y, _b(u, v)) - _b(_t(x, y, u), v) - _b(u, _t(x, y, v))
         ly5 = (
-            _t(A(u, 2), A(v, 2), _t(x, y, z))
-            - _t(_t(u, v, x), A(y, 2), A(z, 2))
-            - _t(A(x, 2), _t(u, v, y), A(z, 2))
-            - _t(A(x, 2), A(y, 2), _t(u, v, z))
+            _t(u, v, _t(x, y, z))
+            - _t(_t(u, v, x), y, z)
+            - _t(x, _t(u, v, y), z)
+            - _t(x, y, _t(u, v, z))
         )
-        return (
-            _b(x, y) + _b(y, x),
-            _t(x, y, z) + _t(y, x, z),
-            ly2,
-            ly3,
-            ly4,
-            ly5,
+        return IdentitySystem(
+            "lie_yamaguti",
+            _SIG_BT,
+            (_b(x, y) + _b(y, x), _t(x, y, z) + _t(y, x, z), ly2, ly3, ly4, ly5),
+            False,
         )
 
-    def lie_yamaguti():
-        return IdentitySystem("lie_yamaguti", _SIG_BT, _ly(False), False)
-
-    def hom_lie_yamaguti():
-        return IdentitySystem("hom_lie_yamaguti", _SIG_BT, _ly(True), True)
-
-    def _btqq(hom: bool):
-        k = 1 if hom else 0
-        A = lambda p, j=1: _al(p, j * k)
-        jac = _b(_b(a, b), A(c)) + _b(_b(b, c), A(a)) + _b(_b(c, a), A(b))
+    def btqq():
+        jac = _b(_b(a, b), c) + _b(_b(b, c), a) + _b(_b(c, a), b)
         q1 = (
-            _t(_b(a, b), A(c), A(d))
-            - _b(A(a, 2), _t(b, c, d))
-            + _b(A(b, 2), _t(a, c, d))
+            _t(_b(a, b), c, d)
+            - _b(a, _t(b, c, d))
+            + _b(b, _t(a, c, d))
             - _qa(a, b, c, d)
             + _qa(b, a, c, d)
         )
         q2 = (
-            _t(A(a), _b(b, c), A(d))
-            - _b(A(b, 2), _t(a, c, d))
-            + _b(A(c, 2), _t(a, b, d))
+            _t(a, _b(b, c), d)
+            - _b(b, _t(a, c, d))
+            + _b(c, _t(a, b, d))
             - _qb(a, b, c, d)
             + _qb(a, c, b, d)
         )
         q3 = (
-            _b(A(b, 2), _t(a, c, d))
-            - _b(A(b, 2), _t(a, d, c))
-            - _t(A(a), A(b), _b(c, d))
+            _b(b, _t(a, c, d))
+            - _b(b, _t(a, d, c))
+            - _t(a, b, _b(c, d))
             - _qa(a, b, c, d)
             + _qa(a, b, d, c)
             + _qb(a, b, c, d)
             - _qb(a, b, d, c)
         )
-        return (_b(a, b) + _b(b, a), jac - _alt_sum(_t, a, b, c), q1, q2, q3)
-
-    def btqq():
-        return IdentitySystem("btqq", _SIG_BTQQ, _btqq(False), False)
-
-    def hom_btqq():
-        return IdentitySystem("hom_btqq", _SIG_BTQQ, _btqq(True), True)
+        return IdentitySystem(
+            "btqq",
+            _SIG_BTQQ,
+            (_b(a, b) + _b(b, a), jac - _alt_sum(_t, a, b, c), q1, q2, q3),
+            False,
+        )
 
     def alternative():
         asc = lambda p, q, r: _b(_b(p, q), r) - _b(p, _b(q, r))
@@ -397,17 +334,6 @@ def _catalog_builders() -> Dict[str, object]:
             _SIG_B,
             (asc(x, y, z) + asc(y, x, z), asc(x, y, z) + asc(x, z, y)),
             False,
-        )
-
-    def hom_alternative():
-        return IdentitySystem(
-            "hom_alternative",
-            _SIG_B,
-            (
-                hom_associator(x, y, z) + hom_associator(y, x, z),
-                hom_associator(x, y, z) + hom_associator(x, z, y),
-            ),
-            True,
         )
 
     def hom_teichmuller():
@@ -421,32 +347,36 @@ def _catalog_builders() -> Dict[str, object]:
         return IdentitySystem("jacobi", _SIG_B, (jac,), False)
 
     def lts_fundamental():
-        return IdentitySystem("lts_fundamental", _SIG_T, (_lts_fundamental(0),), False)
+        return IdentitySystem("lts_fundamental", _SIG_T, (_lts_fundamental(),), False)
 
-    return {
+    builders = {
         "associative": associative,
-        "hom_associative": hom_associative,
         "lie": lie,
-        "hom_lie": hom_lie,
         "hom_malcev": hom_malcev,
         "akivis": akivis,
-        "hom_akivis": hom_akivis,
         "lts": lts,
-        "hom_lts": hom_lts,
         "3lie": three_lie,
-        "hom_3lie": hom_3lie,
         "bol": bol,
-        "hom_bol": hom_bol,
         "lie_yamaguti": lie_yamaguti,
-        "hom_lie_yamaguti": hom_lie_yamaguti,
         "btqq": btqq,
-        "hom_btqq": hom_btqq,
         "alternative": alternative,
-        "hom_alternative": hom_alternative,
         "hom_teichmuller": hom_teichmuller,
         "jacobi": jacobi,
         "lts_fundamental": lts_fundamental,
     }
+    for name in _HOMIFIED:
+        builders[f"hom_{name}"] = lambda ordinary=builders[name]: _homified(ordinary())
+    return builders
+
+
+def _homified(ordinary: IdentitySystem) -> IdentitySystem:
+    """The Hom form of an ordinary system: homify every identity, in order."""
+    return IdentitySystem(
+        f"hom_{ordinary.name}",
+        ordinary.signature,
+        tuple(homify_identity(p, ordinary.signature) for p in ordinary.identities),
+        True,
+    )
 
 
 _ALIASES = {
@@ -496,18 +426,11 @@ def hom_teichmuller_terms() -> List[Tuple[object, Poly]]:
     Expanded into product trees their sum is the zero polynomial: the ten
     tree monomials cancel in pairs.
     """
-    w, x, y, z = (_V(n) for n in "wxyz")
-    return [
-        (ONE, hom_associator(_b(w, x), _al(y, 1), _al(z, 1))),
-        (-ONE, hom_associator(_al(w, 1), _b(x, y), _al(z, 1))),
-        (ONE, hom_associator(_al(w, 1), _al(x, 1), _b(y, z))),
-        (-ONE, _b(_al(w, 2), hom_associator(x, y, z))),
-        (-ONE, _b(hom_associator(w, x, y), _al(z, 2))),
-    ]
+    return [(c, homify_identity(p)) for c, p in teichmuller_terms()]
 
 
 def teichmuller_terms() -> List[Tuple[object, Poly]]:
-    """The ordinary Teichmuller terms; each one homifies to its Hom twin."""
+    """The ordinary Teichmuller terms, (ab)c - a(bc) spelled out."""
     w, x, y, z = (_V(n) for n in "wxyz")
     asc = lambda a, b, c: _b(_b(a, b), c) - _b(a, _b(b, c))
     return [

@@ -30,23 +30,21 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, row: Row) -> Row:
-        """Reduce row against the span; returns the residual (a new dict)."""
+        """Reduce row against the span; returns the residual (a new dict).
+
+        One pass suffices: a stored row holds no other row's pivot, so
+        subtracting it brings in no pivot and changes no other pivot's
+        coefficient.
+        """
         out = {k: c for k, c in row.items() if c != 0}
-        changed = True
-        while changed:
-            changed = False
-            for piv in list(out):
-                base = self.rows.get(piv)
-                if base is None:
-                    continue
-                c = out[piv]
-                for k, bc in base.items():
-                    s = out.get(k, ZERO) - c * bc
-                    if s == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-                changed = True
+        for piv in [k for k in out if k in self.rows]:
+            c = out[piv]
+            for k, bc in self.rows[piv].items():
+                s = out.get(k, ZERO) - c * bc
+                if s == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = s
         return out
 
     def add(self, row: Row) -> Row:

@@ -27,13 +27,12 @@ from .expr import MUL, Poly, Word, apply_alpha, mul, unshuffle_pairs
 from .fdalg import (
     AlgebraSpec,
     FdalgError,
-    MultilinearOp,
     OpFamily,
     Vector,
-    commutator_table,
     is_multiplicative,
     is_zero_vec,
-    nonzeros,
+    tabulate,
+    tabulate_poly,
     vadd,
     vscale,
     vsub,
@@ -217,37 +216,22 @@ def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True)
             raise FdalgError(f"alpha is not multiplicative; witness {witness}")
     dim = spec.dim
     solver = NumericQSolver(spec, op)
-    neg = commutator_table(spec, op)
-    brackets: Dict[int, MultilinearOp] = {
-        0: MultilinearOp(
-            "br0",
-            2,
-            dim,
-            {
-                idx: {k: -c for k, c in ent.items()}
-                for idx, ent in neg.entries.items()
-            },
+
+    def bracket_value(idx: Tuple[int, ...]) -> Vector:
+        u, a, b = idx[:-2], idx[-2], idx[-1]
+        return vsub(solver.q(u, (b,), a), solver.q(u, (a,), b))
+
+    a, b = Poly.gen("a"), Poly.gen("b")
+    brackets = {0: tabulate_poly("br0", spec, mul(b, a, op) - mul(a, b, op), "ab")}
+    for n in range(1, cutoff + 1):
+        brackets[n] = tabulate(f"br{n}", n + 2, dim, bracket_value)
+    phi = {
+        (n, m): tabulate(
+            f"phi{n}_{m}", n + m, dim, lambda idx, n=n: solver.phi(idx[:n], idx[n:])
         )
+        for n in range(1, cutoff + 1)
+        for m in range(2, cutoff + 2 - n)
     }
-    for n in range(1, cutoff + 1):
-        entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
-        for word in itertools.product(range(dim), repeat=n):
-            for a in range(dim):
-                for b in range(dim):
-                    val = vsub(solver.q(word, (b,), a), solver.q(word, (a,), b))
-                    if not is_zero_vec(val):
-                        entries[(*word, a, b)] = dict(nonzeros(val))
-        brackets[n] = MultilinearOp(f"br{n}", n + 2, dim, entries)
-    phi: Dict[Tuple[int, int], MultilinearOp] = {}
-    for n in range(1, cutoff + 1):
-        for m in range(2, cutoff + 2 - n):
-            entries = {}
-            for uw in itertools.product(range(dim), repeat=n):
-                for vw in itertools.product(range(dim), repeat=m):
-                    val = solver.phi(uw, vw)
-                    if not is_zero_vec(val):
-                        entries[(*uw, *vw)] = dict(nonzeros(val))
-            phi[(n, m)] = MultilinearOp(f"phi{n}_{m}", n + m, dim, entries)
     return OpFamily(dim, spec.basis, brackets, phi, cutoff)
 
 

@@ -31,13 +31,3 @@ ONE = rat(1)
 def rat_str(c) -> str:
     """Render as "p" or "p/q" (the JSON wire format for coefficients)."""
     return str(c)
-
-
-def is_rational(c) -> bool:
-    if isinstance(c, (int, _Q)):
-        return True
-    try:  # fractions.Fraction when gmpy2 is the backend, and vice versa
-        _Q(c)
-        return isinstance(c, type(ZERO))
-    except (TypeError, ValueError):
-        return False

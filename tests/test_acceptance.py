@@ -262,7 +262,8 @@ def test_criterion_09_envelope_degree_one():
         "spec oracle mismatch: the enveloping ideal <ab - ba - [a,b] : a,b in L> "
         "only commutes generator pairs, so gr U has dimensions 3,6,36,252 "
         "(independently enumerated), not the fully commutative magmatic counts "
-        "3,6,18,75; see notes/decisions.md"
+        "3,6,18,75; see the README section 'Tests and the acceptance suite' "
+        "and the enumerations in tests/oracles.py"
     ),
 )
 def test_criterion_09_envelope_graded_dims_vs_commutative_magma():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from homforge.cli import main
 
@@ -193,3 +194,21 @@ def test_usage_errors(capsys):
     assert run(capsys, "coproduct", "--expr", "((x*y)")[0] == 2
     assert run(capsys, "check", "--algebra", "nope_algebra", "--identity", "lie")[0] == 2
     assert run(capsys, "antipode", "--word", "(x*y)-(y*x)")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "position, value",
+    [(2, 5), (0, 7), (3, 0.1)],
+    ids=["output-index", "input-index", "float-coefficient"],
+)
+def test_check_rejects_malformed_algebra(capsys, tmp_path, position, value):
+    """An out-of-range index or a float coefficient is a usage error."""
+    import homforge.fdalg as fdalg
+
+    data = fdalg.builtin_algebra("sl2").to_json()
+    data["ops"][0]["entries"][0][position] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "lie")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homforge.expr import Poly, parse_poly
 from homforge.fdalg import (
@@ -17,7 +18,9 @@ from homforge.fdalg import (
     check_sabinin_axioms,
     classical,
     commutator_algebra,
+    commutator_table,
     eval_poly,
+    hom_associator_table,
     hom_power,
     hom_version,
     identity_matrix,
@@ -30,6 +33,7 @@ from homforge.fdalg import (
     sabinin_from,
     vec,
     vscale,
+    vsub,
     yau_twist,
     zero_vec,
 )
@@ -389,8 +393,48 @@ def test_main_theorem_suite():
     assert check_identity(hom_version(ab), catalog("hom_lie")).ok
 
 
-def test_parallel_check_matches_sequential(sl2):
-    twisted = hom_version(sl2)
-    seq = check_identity(twisted, catalog("hom_lie"))
-    par = check_identity(twisted, catalog("hom_lie"), jobs=2)
-    assert (seq.status, seq.checked) == (par.status, par.checked)
+def test_parallel_check_matches_sequential(sl2, octonions):
+    data = sl2.to_json()
+    data["ops"][0]["entries"][0][-1] = "3"  # two antisymmetry witnesses, then Jacobi
+    cases = [
+        (hom_version(sl2), "hom_lie", "pass"),
+        (octonions, "hom_lie", "fail"),
+        (hom_version(octonions), "hom_malcev", "fail"),
+        (classical(AlgebraSpec.from_json(data)), "lie", "fail"),
+    ]
+    for spec, name, status in cases:
+        want = check_identity(spec, catalog(name)).to_json()
+        assert want["status"] == status, name
+        for jobs in (2, 4):
+            assert check_identity(spec, catalog(name), jobs=jobs).to_json() == want, (name, jobs)
+
+
+@st.composite
+def small_algebras(draw):
+    """2- or 3-dimensional algebras with small integer structure constants and alpha."""
+    dim = draw(st.integers(2, 3))
+    small = st.integers(-2, 2)
+    items = [[*idx, draw(small)] for idx in itertools.product(range(dim), repeat=3)]
+    alpha = [[draw(small) for _ in range(dim)] for _ in range(dim)]
+    mu = MultilinearOp.from_sparse("mu", 2, dim, items)
+    return AlgebraSpec(dim, [f"e{i}" for i in range(dim)], {"mu": mu}, matrix(alpha))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras())
+def test_derived_tables_match_direct_evaluation(spec):
+    """The tables built from templates agree with ab - ba, (ab)alpha(c) -
+    alpha(a)(bc) and (ab)c - a(bc) evaluated entry by entry."""
+    mu = spec.ops["mu"]
+    m = lambda p, q: mu.eval([p, q])
+    al = lambda v: spec.apply_alpha_vec(v, 1)
+    e = [spec.basis_vector(i) for i in range(spec.dim)]
+    comm = commutator_table(spec)
+    hom_assoc = hom_associator_table(spec)
+    assoc = akivis_ops(spec, hom=False).ops["tri"]
+    for i, j in itertools.product(range(spec.dim), repeat=2):
+        assert comm.basis_value((i, j)) == vsub(m(e[i], e[j]), m(e[j], e[i]))
+    for i, j, k in itertools.product(range(spec.dim), repeat=3):
+        a, b, c = e[i], e[j], e[k]
+        assert hom_assoc.basis_value((i, j, k)) == vsub(m(m(a, b), al(c)), m(al(a), m(b, c)))
+        assert assoc.basis_value((i, j, k)) == vsub(m(m(a, b), c), m(a, m(b, c)))

