@@ -25,6 +25,7 @@ from .fdalg import (
     check_power_associative,
     check_sabinin_axioms,
     classical,
+    dense,
     hom_version,
     load_algebra_file,
     matrix,
@@ -166,9 +167,8 @@ def cmd_qalpha(args) -> int:
     z = spec.basis_index(parts[2].strip())
     val = solver.q(u, v, z)
     human = [f"q = {spec.describe(val)}"]
-    return _emit(
-        args, "qalpha", "pass", {"value": [rat_str(c) for c in val]}, human, t0
-    )
+    value = [rat_str(c) for c in dense(val, spec.dim)]
+    return _emit(args, "qalpha", "pass", {"value": value}, human, t0)
 
 
 def cmd_sabinin(args) -> int:
@@ -267,6 +267,18 @@ def cmd_powerassoc(args) -> int:
     return _emit(args, "powerassoc", report.status, report.to_json(), human, t0)
 
 
+def _at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="homforge",
@@ -292,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check an identity system on an algebra")
     p.add_argument("--identity", required=True, help="builtin name or JSON file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     common(p, algebra=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("qalpha", help="q^alpha operations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--m", type=_at_least(0), required=True)
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--algebra", help="bundled name or JSON file")
     p.add_argument("--twist", help="JSON matrix file, or 'bundled'")
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sabinin", help="build Sabinin operations and check the axioms")
     p.add_argument("--class", dest="cls", default="yiii",
                    choices=["yiii", "lie", "malcev", "bol", "ly"])
-    p.add_argument("--cutoff", type=int, default=2)
+    p.add_argument("--cutoff", type=_at_least(0), default=2)
     common(p, algebra=True)
     p.set_defaults(func=cmd_sabinin)
 
@@ -327,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("envelope", help="truncated universal enveloping Hom-algebra")
     p.add_argument("--class", dest="cls", default="lie",
                    choices=["yiii", "lie", "malcev", "bol", "ly"])
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_at_least(1), required=True)
     common(p, algebra=True)
     p.set_defaults(func=cmd_envelope)
 
@@ -339,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_antipode)
 
     p = sub.add_parser("powerassoc", help="Hom-power associativity")
-    p.add_argument("--max", type=int, default=6)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--max", type=_at_least(2), default=6)
+    p.add_argument("--samples", type=_at_least(0), default=100)
     common(p, algebra=True, seed=True)
     p.set_defaults(func=cmd_powerassoc)
 

@@ -13,7 +13,7 @@ import itertools
 import re
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO, rat, rat_from_json
 
 MUL = "mu"  # default symbol for the binary product
 
@@ -288,10 +288,6 @@ def add(p: Poly, q: Poly) -> Poly:
     return p + q
 
 
-def scale(c, p: Poly) -> Poly:
-    return p.scaled(c)
-
-
 def apply_op(op: str, args: Sequence[Poly], signature: Optional[Signature] = None) -> Poly:
     """Apply an operation symbol multilinearly to polynomial arguments.
 
@@ -561,7 +557,10 @@ def mono_from_json(data) -> Monomial:
     if isinstance(data, dict):
         if data.get("unit"):
             return UNIT
-        return Leaf(data["var"], int(data.get("exp", 0)))
+        exp = data.get("exp", 0)
+        if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
+            raise ParseError(f"exponent {exp!r} is not a non-negative integer")
+        return Leaf(data["var"], exp)
     if isinstance(data, list):
         if len(data) < 3:
             raise ParseError("operation nodes need an op symbol and >= 2 children")
@@ -581,5 +580,5 @@ def poly_from_json(terms: list) -> Poly:
     out: Dict[Monomial, object] = {}
     for t in terms:
         m = mono_from_json(t["tree"])
-        out[m] = out.get(m, ZERO) + rat(t["coeff"])
+        out[m] = out.get(m, ZERO) + rat_from_json(t["coeff"], ParseError)
     return Poly(out)

@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import random
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,38 +40,26 @@ from .homify import (
     sabinin_axiom_instances,
     sabinin_signature,
 )
-from .rationals import ONE, ZERO, rat, rat_str
+from .rationals import ONE, ZERO, rat, rat_from_json, rat_str
 
-Vector = Tuple[object, ...]
-Matrix = Tuple[Vector, ...]
-
-
-def vec(entries: Iterable) -> Vector:
-    return tuple(rat(e) for e in entries)
+# A vector is a sparse {basis index: nonzero rational}; {} is zero. Tables and
+# solver caches share vectors, so no function mutates one.
+Vector = Dict[int, object]
+Matrix = Tuple[Tuple[object, ...], ...]  # dense rows: the JSON shape of alpha
 
 
-def zero_vec(dim: int) -> Vector:
-    return (ZERO,) * dim
+def lincomb(terms: Iterable[Tuple[object, Vector]]) -> Vector:
+    """The sum of c*v over the (c, v) pairs, zeros dropped."""
+    out: Dict[int, object] = {}
+    for c, v in terms:
+        for i, x in v.items():
+            out[i] = out.get(i, ZERO) + c * x
+    return {i: x for i, x in out.items() if x != 0}
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
-def is_zero_vec(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
-def nonzeros(a: Vector) -> List[Tuple[int, object]]:
-    return [(i, c) for i, c in enumerate(a) if c != 0]
+def dense(v: Vector, dim: int) -> Tuple[object, ...]:
+    """The coordinate tuple of v, for reports."""
+    return tuple(v.get(i, ZERO) for i in range(dim))
 
 
 def identity_matrix(dim: int) -> Matrix:
@@ -82,11 +69,11 @@ def identity_matrix(dim: int) -> Matrix:
 
 
 def zero_matrix(dim: int) -> Matrix:
-    return tuple(zero_vec(dim) for _ in range(dim))
+    return tuple((ZERO,) * dim for _ in range(dim))
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(vec(r) for r in rows)
+    return tuple(tuple(rat(e) for e in r) for r in rows)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -97,25 +84,18 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _columns(m: Matrix) -> List[List[Tuple[int, object]]]:
+def columns(m: Matrix) -> List[Vector]:
     n = len(m)
-    return [[(i, m[i][j]) for i in range(n) if m[i][j] != 0] for j in range(n)]
+    return [{i: m[i][j] for i in range(n) if m[i][j] != 0} for j in range(n)]
+
+
+def apply_linear(cols: Sequence[Vector], v: Vector) -> Vector:
+    """The image of v under the linear map whose j-th column is cols[j]."""
+    return lincomb((c, cols[j]) for j, c in v.items())
 
 
 class FdalgError(ValueError):
     pass
-
-
-_RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
-
-
-def _coeff_from_json(c):
-    """A coefficient read from JSON: an int or a "p/q" string, never a float."""
-    if isinstance(c, int) and not isinstance(c, bool):
-        return rat(c)
-    if isinstance(c, str) and _RATIONAL.fullmatch(c):
-        return rat(c)
-    raise FdalgError(f'coefficient {c!r} is neither an integer nor a "p/q" string')
 
 
 def _index_from_json(i, dim: int) -> int:
@@ -153,7 +133,7 @@ class MultilinearOp:
             idx = tuple(_index_from_json(i, dim) for i in idx)
             k = _index_from_json(k, dim)
             out = entries.setdefault(idx, {})
-            out[k] = out.get(k, ZERO) + _coeff_from_json(c)
+            out[k] = out.get(k, ZERO) + rat_from_json(c, FdalgError)
         return MultilinearOp(name, arity, dim, entries)
 
     def to_sparse(self) -> List[List]:
@@ -168,39 +148,24 @@ class MultilinearOp:
         return MultilinearOp(name, arity, dim, {})
 
     def basis_value(self, idx: Tuple[int, ...]) -> Vector:
-        out = [ZERO] * self.dim
-        for k, c in self.entries.get(idx, {}).items():
-            out[k] = c
-        return tuple(out)
+        return self.entries.get(idx, {})
 
     def eval(self, args: Sequence[Vector]) -> Vector:
         if len(args) != self.arity:
             raise FdalgError(f"{self.name!r} has arity {self.arity}, got {len(args)}")
-        nz = [nonzeros(a) for a in args]
-        out = [ZERO] * self.dim
-        if any(not n for n in nz):
-            return tuple(out)
-        for combo in itertools.product(*nz):
-            idx = tuple(i for i, _ in combo)
-            ent = self.entries.get(idx)
-            if ent is None:
-                continue
-            c = ONE
-            for _, cc in combo:
-                c = c * cc
-            for k, ec in ent.items():
-                out[k] = out[k] + c * ec
-        return tuple(out)
+        terms = []
+        for combo in itertools.product(*(a.items() for a in args)):
+            ent = self.entries.get(tuple(i for i, _ in combo))
+            if ent is not None:
+                c = ONE
+                for _, cc in combo:
+                    c = c * cc
+                terms.append((c, ent))
+        return lincomb(terms)
 
-    def post_compose(self, m: Matrix, name: Optional[str] = None) -> "MultilinearOp":
-        cols = _columns(m)
-        entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
-        for idx, ent in self.entries.items():
-            out: Dict[int, object] = {}
-            for k, c in ent.items():
-                for i, mc in cols[k]:
-                    out[i] = out.get(i, ZERO) + mc * c
-            entries[idx] = out
+    def post_compose(self, cols: Sequence[Vector], name: Optional[str] = None) -> "MultilinearOp":
+        """The operation followed by the linear map with columns cols."""
+        entries = {idx: apply_linear(cols, ent) for idx, ent in self.entries.items()}
         return MultilinearOp(name or self.name, self.arity, self.dim, entries)
 
     def is_zero(self) -> bool:
@@ -235,11 +200,11 @@ class AlgebraSpec:
         self.basis = tuple(basis)
         self.ops = dict(ops)
         self.alpha = matrix(alpha)
-        self.unit = vec(unit) if unit is not None else None
+        self.unit = unit
         self.name = name
         self.cls = cls
-        self._pow_cols: Dict[int, List[List[Tuple[int, object]]]] = {}
-        self._pows: Dict[int, Matrix] = {0: identity_matrix(dim)}
+        # _alpha_cols[k] holds the columns of alpha^k
+        self._alpha_cols = [[{i: ONE} for i in range(dim)], columns(self.alpha)]
         if self.unit is not None:
             self._check_unitary()
 
@@ -254,28 +219,20 @@ class AlgebraSpec:
                 raise FdalgError(f"unit axiom fails on basis element {self.basis[i]}")
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(ONE if j == i else ZERO for j in range(self.dim))
+        return {i: ONE}
 
     def basis_index(self, name: str) -> int:
+        if name not in self.basis:
+            raise FdalgError(f"unknown basis element {name!r}; basis: {list(self.basis)}")
         return self.basis.index(name)
-
-    def alpha_pow(self, k: int) -> Matrix:
-        while k not in self._pows:
-            top = max(self._pows)
-            self._pows[top + 1] = matmul(self.alpha, self._pows[top])
-        return self._pows[k]
 
     def apply_alpha_vec(self, v: Vector, k: int = 1) -> Vector:
         if k == 0:
             return v
-        if k not in self._pow_cols:
-            self._pow_cols[k] = _columns(self.alpha_pow(k))
-        cols = self._pow_cols[k]
-        out = [ZERO] * self.dim
-        for j, cj in nonzeros(v):
-            for i, c in cols[j]:
-                out[i] = out[i] + c * cj
-        return tuple(out)
+        cols = self._alpha_cols
+        while len(cols) <= k:
+            cols.append([apply_linear(cols[1], c) for c in cols[-1]])
+        return apply_linear(cols[k], v)
 
     def with_alpha(self, alpha: Matrix, name: Optional[str] = None) -> "AlgebraSpec":
         return AlgebraSpec(
@@ -288,7 +245,7 @@ class AlgebraSpec:
 
     def describe(self, v: Vector) -> str:
         parts = []
-        for i, c in nonzeros(v):
+        for i, c in sorted(v.items()):
             prefix = "" if c == 1 else f"{rat_str(c)}*"
             parts.append(f"{prefix}{self.basis[i]}")
         return " + ".join(parts) if parts else "0"
@@ -302,7 +259,10 @@ class AlgebraSpec:
                 for op in self.ops.values()
             ],
             "alpha": [[rat_str(c) for c in row] for row in self.alpha],
-            "unit": [rat_str(c) for c in self.unit] if self.unit is not None else None,
+            "unit": (
+                [rat_str(c) for c in dense(self.unit, self.dim)]
+                if self.unit is not None else None
+            ),
         }
         if self.name:
             data["name"] = self.name
@@ -319,12 +279,17 @@ class AlgebraSpec:
                 o["name"], int(o["arity"]), dim, o.get("entries", [])
             )
         unit = data.get("unit")
+        if unit is not None:
+            if len(unit) != dim:
+                raise FdalgError(f"unit has {len(unit)} coordinates, not {dim}")
+            coords = [rat_from_json(c, FdalgError) for c in unit]
+            unit = {i: coords[i] for i in range(dim) if coords[i] != 0}
         return AlgebraSpec(
             dim,
             data["basis"],
             ops,
-            tuple(tuple(_coeff_from_json(c) for c in row) for row in data["alpha"]),
-            tuple(_coeff_from_json(c) for c in unit) if unit is not None else None,
+            tuple(tuple(rat_from_json(c, FdalgError) for c in row) for row in data["alpha"]),
+            unit,
             name=data.get("name", ""),
             cls=data.get("class", ""),
         )
@@ -371,8 +336,6 @@ def eval_monomial(spec: AlgebraSpec, m: Monomial, assignment: Dict[str, Vector])
             v = assignment[m.base]
         except KeyError:
             raise FdalgError(f"unbound variable {m.base!r}") from None
-        if len(v) != spec.dim:
-            raise FdalgError(f"dimension mismatch for variable {m.base!r}")
         return spec.apply_alpha_vec(v, m.exp)
     try:
         op = spec.ops[m.op]
@@ -382,10 +345,10 @@ def eval_monomial(spec: AlgebraSpec, m: Monomial, assignment: Dict[str, Vector])
 
 
 def eval_poly(spec: AlgebraSpec, p: Poly, assignment: Dict[str, Vector]) -> Vector:
-    out = zero_vec(spec.dim)
-    for m, c in p.terms.items():
-        out = vadd(out, vscale(c, eval_monomial(spec, m, assignment)))
-    return out
+    for name, v in assignment.items():
+        if any(not 0 <= i < spec.dim for i in v):
+            raise FdalgError(f"variable {name!r} has an index outside 0..{spec.dim - 1}")
+    return lincomb((c, eval_monomial(spec, m, assignment)) for m, c in p.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +360,14 @@ def is_morphism(spec: AlgebraSpec, beta: Matrix) -> Tuple[bool, Optional[tuple]]
     beta = matrix(beta)
     if len(beta) != spec.dim or any(len(r) != spec.dim for r in beta):
         raise FdalgError("beta must be a dim x dim matrix")
-    probe = AlgebraSpec(spec.dim, spec.basis, {}, beta)
-    images = [probe.apply_alpha_vec(spec.basis_vector(i), 1) for i in range(spec.dim)]
+    cols = columns(beta)
     for op in spec.ops.values():
         for idx in itertools.product(range(spec.dim), repeat=op.arity):
-            lhs = probe.apply_alpha_vec(op.basis_value(idx), 1)
-            rhs = op.eval([images[i] for i in idx])
+            lhs = apply_linear(cols, op.basis_value(idx))
+            rhs = op.eval([cols[i] for i in idx])
             if lhs != rhs:
-                return False, (op.name, tuple(spec.basis[i] for i in idx), vsub(lhs, rhs))
+                defect = dense(lincomb([(ONE, lhs), (-ONE, rhs)]), spec.dim)
+                return False, (op.name, tuple(spec.basis[i] for i in idx), defect)
     return True, None
 
 
@@ -466,31 +429,27 @@ def polarization_vectors(dim: int, basis: Sequence[str], mult: int) -> List[Tupl
     out: List[Tuple[str, Vector]] = []
     for size in range(1, mult + 1):
         for combo in itertools.combinations_with_replacement(range(dim), size):
-            coords = [0] * dim
-            for i in combo:
-                coords[i] += 1
-            label_parts = []
-            for i, c in enumerate(coords):
-                if c == 1:
-                    label_parts.append(basis[i])
-                elif c > 1:
-                    label_parts.append(f"{c}*{basis[i]}")
-            out.append(("+".join(label_parts), vec(coords)))
+            counts = {i: combo.count(i) for i in combo}  # ascending, as combo is
+            label = "+".join(
+                basis[i] if c == 1 else f"{c}*{basis[i]}" for i, c in counts.items()
+            )
+            out.append((label, {i: rat(c) for i, c in counts.items()}))
     return out
 
 
 def _failures(
     spec: AlgebraSpec, ident: Poly, variables: Sequence[str],
     candidate_sets: Sequence[Sequence], lo: int, hi: int, limit: int,
-) -> List[Tuple[int, Dict[str, str], Vector]]:
-    """(tuple index, labels, defect) of the first `limit` failing tuples in [lo, hi)."""
+) -> List[Tuple[int, Dict[str, str], Tuple[object, ...]]]:
+    """(tuple index, labels, dense defect) of the first `limit` failing tuples in [lo, hi)."""
     out = []
     combos = itertools.islice(itertools.product(*candidate_sets), lo, hi)
     for index, combo in enumerate(combos, lo):
         assignment = {v: w for v, (_, w) in zip(variables, combo)}
         defect = eval_poly(spec, ident, assignment)
-        if not is_zero_vec(defect):
-            out.append((index, {v: lab for v, (lab, _) in zip(variables, combo)}, defect))
+        if defect:
+            labels = {v: lab for v, (lab, _) in zip(variables, combo)}
+            out.append((index, labels, dense(defect, spec.dim)))
             if len(out) >= limit:
                 break
     return out
@@ -572,11 +531,12 @@ def yau_twist(spec: AlgebraSpec, beta: Matrix, check: bool = True, name: str = "
         ok, witness = is_morphism(spec, beta)
         if not ok:
             raise FdalgError(f"beta is not a morphism; witness {witness}")
-    helper = AlgebraSpec(spec.dim, spec.basis, {}, beta)
-    ops = {
-        opname: op.post_compose(helper.alpha_pow(op.arity - 1))
-        for opname, op in spec.ops.items()
-    }
+    cols = columns(beta)
+    ops = {}
+    for opname, op in spec.ops.items():
+        for _ in range(op.arity - 1):
+            op = op.post_compose(cols)
+        ops[opname] = op
     unit = spec.unit
     return AlgebraSpec(
         spec.dim,
@@ -613,8 +573,7 @@ def tabulate(
     """The operation whose value on each basis index tuple idx is value(idx)."""
     return MultilinearOp(
         name, arity, dim,
-        {idx: dict(enumerate(value(idx)))
-         for idx in itertools.product(range(dim), repeat=arity)},
+        {idx: value(idx) for idx in itertools.product(range(dim), repeat=arity)},
     )
 
 
@@ -682,12 +641,6 @@ class OpFamily:
     brackets: Dict[int, MultilinearOp]
     phi: Dict[Tuple[int, int], MultilinearOp]
     cutoff: int
-
-    def bracket_eval(self, word_vecs: Sequence[Vector], a: Vector, b: Vector) -> Vector:
-        n = len(word_vecs)
-        if n not in self.brackets:
-            raise FdalgError(f"bracket of word length {n} beyond cutoff {self.cutoff}")
-        return self.brackets[n].eval([*word_vecs, a, b])
 
 
 _SABININ_CLASSES = ("lie", "malcev", "bol", "ly")
@@ -866,8 +819,11 @@ def _sample_vectors(spec: AlgebraSpec, samples: int, seed: int) -> List[Tuple[st
     rng = random.Random(seed)
     out = [(spec.basis[i], spec.basis_vector(i)) for i in range(spec.dim)]
     for s in range(samples):
-        coords = [rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(spec.dim)]
-        out.append((f"sample{s}", vec(coords)))
+        coords = lincomb(
+            (rat(rng.randint(-9, 9), rng.randint(1, 9)), spec.basis_vector(i))
+            for i in range(spec.dim)
+        )
+        out.append((f"sample{s}", coords))
     return out
 
 
@@ -883,6 +839,8 @@ def check_power_associative(
     """
     if sum(1 for o in spec.ops.values() if o.arity == 2) != 1 or op not in spec.ops:
         raise FdalgError("power associativity needs a single binary product")
+    if max_power < 2:
+        raise FdalgError("max_power must be at least 2")
     ok_mult, witness = is_multiplicative(spec)
     report = PowerReport(
         status="pass", max_power=max_power, samples=samples, seed=seed
@@ -902,14 +860,14 @@ def check_power_associative(
             report.condition1 = False
         if max_power >= 4 and x4 != mu.eval([al(x2, 1), al(x2, 1)]):
             report.condition1 = False
-        assoc = vsub(
-            mu.eval([mu.eval([x, x]), al(x, 1)]), mu.eval([al(x, 1), mu.eval([x, x])])
+        assoc = (
+            mu.eval([mu.eval([x, x]), al(x, 1)]) == mu.eval([al(x, 1), mu.eval([x, x])])
         )
-        assoc2 = vsub(
-            mu.eval([mu.eval([x2, al(x, 1)]), al(x, 2)]),
-            mu.eval([al(x2, 1), mu.eval([al(x, 1), al(x, 1)])]),
+        assoc2 = (
+            mu.eval([mu.eval([x2, al(x, 1)]), al(x, 2)])
+            == mu.eval([al(x2, 1), mu.eval([al(x, 1), al(x, 1)])])
         )
-        if not (is_zero_vec(assoc) and is_zero_vec(assoc2)):
+        if not (assoc and assoc2):
             report.condition2 = False
         for n in range(1, max_power):
             for m in range(1, max_power - n + 1):

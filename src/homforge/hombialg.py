@@ -35,7 +35,7 @@ from .expr import (
     mul,
     mul_mono,
 )
-from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector, matrix, nonzeros
+from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector, matrix
 from .linalg import RowSpace, kernel
 from .qops import QSolver
 from .rationals import ONE, ZERO, rat
@@ -487,9 +487,6 @@ class FreeHomAssocQuotient:
     def nf(self, p: Poly) -> Poly:
         return self.reduce(p).normal_form
 
-    def is_zero_in_quotient(self, p: Poly) -> bool:
-        return self.reduce(p).is_zero()
-
     def monomials_of_degree(self, n: int) -> List[Monomial]:
         out = []
         for shape in _tree_shapes(n):
@@ -508,9 +505,6 @@ class FreeHomAssocQuotient:
             count += 1
         rank = sum(self.component(sig).rank for sig in signatures)
         return count - rank, rank
-
-    def report(self, degrees: Iterable[int]) -> Dict[int, Tuple[int, int]]:
-        return {n: self.degree_report(n) for n in degrees}
 
 
 @dataclass
@@ -618,7 +612,7 @@ def expand_exponents(p: Poly, basis: Sequence[str], alpha: Matrix) -> Poly:
         if l.exp == 0:
             return Poly.monomial(l)
         v = helper.apply_alpha_vec(helper.basis_vector(index[l.base]), l.exp)
-        return Poly({Leaf(basis[j], 0): c for j, c in nonzeros(v)})
+        return _vector_poly(v, basis)
 
     def mono_poly(m: Monomial) -> Poly:
         if m is UNIT:
@@ -635,7 +629,7 @@ def expand_exponents(p: Poly, basis: Sequence[str], alpha: Matrix) -> Poly:
 
 
 def _vector_poly(v: Vector, basis: Sequence[str]) -> Poly:
-    return Poly({Leaf(basis[i], 0): c for i, c in nonzeros(v)})
+    return Poly({Leaf(basis[i], 0): c for i, c in v.items()})
 
 
 class FilteredQuotient:
@@ -689,9 +683,6 @@ class FilteredQuotient:
             if degree(m) > self.degree_bound:
                 raise BoundsError("element exceeds the degree bound")
         return Poly(self.space.reduce(dict(p.terms)))
-
-    def is_zero_in_quotient(self, p: Poly) -> bool:
-        return self.nf(p).is_zero()
 
     def filtration_dim(self, k: int) -> int:
         total = sum(len(self._monos[n]) for n in range(1, k + 1))

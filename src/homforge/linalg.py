@@ -72,9 +72,6 @@ class RowSpace:
         for r in rows:
             self.add(r)
 
-    def contains(self, row: Row) -> bool:
-        return not self.reduce(row)
-
     def pivots(self) -> List[Hashable]:
         return list(self.rows)
 

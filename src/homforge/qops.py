@@ -30,16 +30,12 @@ from .fdalg import (
     OpFamily,
     Vector,
     is_multiplicative,
-    is_zero_vec,
+    lincomb,
     tabulate,
     tabulate_poly,
-    vadd,
-    vscale,
-    vsub,
-    zero_vec,
 )
 from .homify import hom_associator, right_normed_homified
-from .rationals import rat
+from .rationals import ONE, rat
 
 
 class QSolver:
@@ -138,28 +134,22 @@ class NumericQSolver:
         self._combs[w] = acc
         return acc
 
-    def _hom_assoc(self, a: Vector, b: Vector, c: Vector) -> Vector:
-        spec, mu = self.spec, self.mu
-        return vsub(
-            mu.eval([mu.eval([a, b]), spec.apply_alpha_vec(c, 1)]),
-            mu.eval([spec.apply_alpha_vec(a, 1), mu.eval([b, c])]),
-        )
-
     def q(self, u: Tuple[int, ...], v: Tuple[int, ...], z: int) -> Vector:
-        spec = self.spec
+        spec, mu, al = self.spec, self.mu, self.spec.apply_alpha_vec
         if not u or not v:
-            return zero_vec(spec.dim)
+            return {}
         key = (u, v, z)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
         n, m = len(u), len(v)
-        lhs = self._hom_assoc(
-            spec.apply_alpha_vec(self._comb(u), m - 1),
-            spec.apply_alpha_vec(self._comb(v), n - 1),
-            spec.apply_alpha_vec(spec.basis_vector(z), n + m - 2),
-        )
-        total = lhs
+        a = al(self._comb(u), m - 1)
+        b = al(self._comb(v), n - 1)
+        c = al(spec.basis_vector(z), n + m - 2)
+        terms = [  # the Hom-associator (a, b, c)_alpha minus the corrections
+            (ONE, mu.eval([mu.eval([a, b]), al(c, 1)])),
+            (-ONE, mu.eval([al(a, 1), mu.eval([b, c])])),
+        ]
         for u1, u2 in unshuffle_pairs(u):
             for v1, v2 in unshuffle_pairs(v):
                 if not u1 and not v1:
@@ -167,26 +157,21 @@ class NumericQSolver:
                 if not u2 or not v2:
                     continue
                 inner = self.q(u2, v2, z)
-                if is_zero_vec(inner):
+                if not inner:
                     continue
                 if u1 and v1:
-                    left = self.mu.eval(
-                        [
-                            spec.apply_alpha_vec(self._comb(u1), len(v1) - 1),
-                            spec.apply_alpha_vec(self._comb(v1), len(u1) - 1),
-                        ]
+                    left = mu.eval(
+                        [al(self._comb(u1), len(v1) - 1), al(self._comb(v1), len(u1) - 1)]
                     )
                 elif u1:
                     left = self._comb(u1)
                 else:
                     left = self._comb(v1)
-                term = self.mu.eval(
-                    [
-                        spec.apply_alpha_vec(left, len(u2) + len(v2)),
-                        spec.apply_alpha_vec(inner, len(u1) + len(v1) - 1),
-                    ]
+                term = mu.eval(
+                    [al(left, len(u2) + len(v2)), al(inner, len(u1) + len(v1) - 1)]
                 )
-                total = vsub(total, term)
+                terms.append((-ONE, term))
+        total = lincomb(terms)
         self.cache[key] = total
         return total
 
@@ -194,11 +179,12 @@ class NumericQSolver:
         n, m = len(u), len(v)
         if n < 1 or m < 2:
             raise ValueError("Phi is defined for |u| >= 1 and |v| >= 2")
-        total = zero_vec(self.spec.dim)
-        for su in itertools.permutations(u):
-            for sv in itertools.permutations(v):
-                total = vadd(total, self.q(su, sv[:-1], sv[-1]))
-        return vscale(rat(1, math.factorial(n) * math.factorial(m)), total)
+        weight = rat(1, math.factorial(n) * math.factorial(m))
+        return lincomb(
+            (weight, self.q(su, sv[:-1], sv[-1]))
+            for su in itertools.permutations(u)
+            for sv in itertools.permutations(v)
+        )
 
 
 def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True) -> OpFamily:
@@ -219,7 +205,7 @@ def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True)
 
     def bracket_value(idx: Tuple[int, ...]) -> Vector:
         u, a, b = idx[:-2], idx[-2], idx[-1]
-        return vsub(solver.q(u, (b,), a), solver.q(u, (a,), b))
+        return lincomb([(ONE, solver.q(u, (b,), a)), (-ONE, solver.q(u, (a,), b))])
 
     a, b = Poly.gen("a"), Poly.gen("b")
     brackets = {0: tabulate_poly("br0", spec, mul(b, a, op) - mul(a, b, op), "ab")}

@@ -5,6 +5,8 @@ fractions.Fraction. Everything downstream goes through rat() so the two
 backends are interchangeable.
 """
 
+import re
+
 try:
     from gmpy2 import mpq as _Q
 
@@ -31,3 +33,18 @@ ONE = rat(1)
 def rat_str(c) -> str:
     """Render as "p" or "p/q" (the JSON wire format for coefficients)."""
     return str(c)
+
+
+_RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
+
+
+def rat_from_json(c, error=ValueError):
+    """A coefficient read from JSON: an int or a "p/q" string, never a float.
+
+    Anything else raises `error`, the caller's domain error class.
+    """
+    if isinstance(c, int) and not isinstance(c, bool):
+        return rat(c)
+    if isinstance(c, str) and _RATIONAL.fullmatch(c):
+        return rat(c)
+    raise error(f'coefficient {c!r} is neither an integer nor a "p/q" string')

@@ -212,3 +212,112 @@ def test_check_rejects_malformed_algebra(capsys, tmp_path, position, value):
     code, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "lie")
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("coeff", 0.1), ("exp", 1.7)],
+    ids=["float-coefficient", "float-exponent"],
+)
+def test_check_rejects_malformed_identity_file(capsys, tmp_path, field, value):
+    """A float coefficient or exponent in an identity file is a usage error."""
+    from homforge.homify import catalog, identity_system_to_json
+
+    data = identity_system_to_json(catalog("lie"))
+    term = data["identities"][0]["terms"][0]
+    if field == "coeff":
+        term["coeff"] = value
+    else:
+        term["tree"][1]["exp"] = value
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--algebra", "sl2", "--identity", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check", "--algebra", "sl2", "--identity", "lie", "--jobs", "0"], "--jobs"),
+        (["check", "--algebra", "sl2", "--identity", "lie", "--jobs", "-3"], "--jobs"),
+        (["sabinin", "--algebra", "sl2", "--cutoff", "-1"], "--cutoff"),
+        (["envelope", "--algebra", "sl2", "--degree", "0"], "--degree"),
+        (["powerassoc", "--algebra", "k3prod", "--max", "1"], "--max"),
+        (["powerassoc", "--algebra", "k3prod", "--samples", "-1"], "--samples"),
+        (["qalpha", "--n", "-1", "--m", "1", "--algebra", "sl2", "--args", ";x;h"], "--n"),
+        (["qalpha", "--n", "1", "--m", "-1", "--algebra", "sl2", "--args", "h;;h"], "--m"),
+        (["qalpha", "--n", "1", "--m", "1", "--algebra", "sl2", "--args", "h;w;h"], "'w'"),
+    ],
+    ids=[
+        "jobs-0", "jobs-negative", "cutoff-negative", "degree-0", "max-1",
+        "samples-negative", "n-negative", "m-negative", "unknown-basis-letter",
+    ],
+)
+def test_integer_options_and_basis_letters_are_checked(capsys, argv, named):
+    """Out-of-range counts and unknown basis letters are usage errors that
+    name the option or the letter."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+
+
+def test_power_check_rejects_max_power_below_two():
+    import homforge.fdalg as fdalg
+
+    with pytest.raises(fdalg.FdalgError):
+        fdalg.check_power_associative(fdalg.builtin_algebra("k3prod"), max_power=1)
+
+
+def test_check_witness_wire_format(capsys):
+    """Witness defects are dense coordinate lists in the JSON report."""
+    code, out, _ = run(
+        capsys, "check", "--algebra", "sl2", "--identity", "associative", "--json"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["checked"] == 10 and len(doc["witnesses"]) == 5
+    first = doc["witnesses"][0]
+    assert first["assignment"] == {"x": "h", "y": "h", "z": "x"}
+    assert first["defect"] == ["0", "-4", "0"]
+
+
+def test_qalpha_numeric_wire_format(capsys):
+    argv = ["qalpha", "--n", "2", "--m", "1", "--algebra", "sl2", "--twist", "bundled",
+            "--args", "h,x;y;h"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["value"] == ["4", "0", "0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == "q = 4*h"
+
+
+def test_twist_witness_message(capsys, tmp_path):
+    from homforge.rationals import rat
+
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
+    code, out, err = run(
+        capsys, "check", "--algebra", "sl2", "--twist", str(path), "--identity", "hom_lie"
+    )
+    assert code == 2 and not out
+    defect = (rat(-1), rat(0), rat(0))
+    assert err == f"error: beta is not a morphism; witness ('mu', ('x', 'y'), {defect!r})\n"
+
+
+def _readme_commands():
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("homforge ")]
+
+
+def test_readme_commands_run(capsys):
+    """Every command in the README's command-line block exits 0."""
+    commands = _readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
