@@ -819,11 +819,11 @@ def _sample_vectors(spec: AlgebraSpec, samples: int, seed: int) -> List[Tuple[st
     rng = random.Random(seed)
     out = [(spec.basis[i], spec.basis_vector(i)) for i in range(spec.dim)]
     for s in range(samples):
-        coords = lincomb(
+        x = lincomb(
             (rat(rng.randint(-9, 9), rng.randint(1, 9)), spec.basis_vector(i))
             for i in range(spec.dim)
         )
-        out.append((f"sample{s}", coords))
+        out.append((f"sample{s}", x))
     return out
 
 

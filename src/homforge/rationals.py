@@ -38,7 +38,7 @@ def rat_str(c) -> str:
 _RATIONAL = re.compile(r"-?\d+(/0*[1-9]\d*)?")
 
 
-def rat_from_json(c, error=ValueError):
+def rat_from_json(c, error):
     """A coefficient read from JSON: an int or a "p/q" string, never a float.
 
     Anything else raises `error`, the caller's domain error class.
