@@ -28,7 +28,6 @@ from .fdalg import (
     dense,
     hom_version,
     load_algebra_file,
-    matrix,
     sabinin_from,
     yau_twist,
     zero_matrix,
@@ -48,7 +47,7 @@ from .hombialg import (
     u_hom,
 )
 from .qops import q_symbolic, yiii_hom
-from .rationals import rat_str
+from .rationals import rat_from_json, rat_str
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -83,11 +82,22 @@ def _load_algebra(args) -> AlgebraSpec:
         if twist == "bundled":
             spec = hom_version(spec)
         else:
-            with open(twist) as fh:
-                data = json.load(fh)
-            beta = matrix(data["matrix"] if isinstance(data, dict) else data)
-            spec = yau_twist(classical(spec), beta)
+            spec = yau_twist(classical(spec), _read_twist(twist))
     return spec
+
+
+def _read_twist(path: str):
+    """The --twist FILE matrix: a JSON list of rows, or {"matrix": rows},
+    whose entries are ints or "p/q" strings."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        rows = data.get("matrix") if isinstance(data, dict) else data
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise FdalgError('expected a list of rows or {"matrix": rows}')
+        return tuple(tuple(rat_from_json(c, FdalgError) for c in r) for r in rows)
+    except (OSError, ValueError) as exc:
+        raise FdalgError(f"--twist {path}: {exc}") from None
 
 
 def _load_identity(name: str):

@@ -159,34 +159,28 @@ def rename_leaves(m: Monomial, mapping: Dict[str, str]) -> Monomial:
     return map_leaves(m, lambda l: Leaf(mapping.get(l.base, l.base), l.exp))
 
 
-def _arity_seq(m: Monomial, out: List[int]) -> None:
-    if m is UNIT:
-        out.append(-1)
-    elif isinstance(m, Leaf):
-        out.append(0)
-    else:
-        out.append(len(m.args))
-        for a in m.args:
-            _arity_seq(a, out)
-
-
 def mono_key(m: Monomial):
     """Total order: degree, then tree shape (preorder arity sequence with op
-    symbols), then leaves by (base, exp). Used for deterministic printing."""
+    symbols), then leaves by (base, exp). Used for deterministic printing.
+
+    One preorder walk collects the arities (0 for a leaf, -1 for the unit),
+    the op symbols and the leaves."""
     shape: List[int] = []
-    _arity_seq(m, shape)
-    ops = tuple(n.op for n in _nodes(m))
-    lvs = tuple((l.base, l.exp) for l in leaves(m))
-    return (degree(m), tuple(shape), ops, lvs)
-
-
-def _nodes(m: Monomial) -> List[Node]:
-    if not isinstance(m, Node):
-        return []
-    out = [m]
-    for a in m.args:
-        out.extend(_nodes(a))
-    return out
+    ops: List[str] = []
+    lvs: List[Leaf] = []
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        if t is UNIT:
+            shape.append(-1)
+        elif isinstance(t, Leaf):
+            shape.append(0)
+            lvs.append(t)
+        else:
+            shape.append(len(t.args))
+            ops.append(t.op)
+            stack.extend(reversed(t.args))
+    return (len(lvs), tuple(shape), tuple(ops), tuple(lvs))
 
 
 def mul_mono(a: Monomial, b: Monomial, op: str = MUL) -> Monomial:

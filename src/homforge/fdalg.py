@@ -104,6 +104,12 @@ def _index_from_json(i, dim: int) -> int:
     raise FdalgError(f"basis index {i!r} is not an integer in 0..{dim - 1}")
 
 
+def _size_from_json(n, what: str) -> int:
+    if isinstance(n, int) and not isinstance(n, bool) and n >= 0:
+        return n
+    raise FdalgError(f"{what} {n!r} is not a non-negative integer")
+
+
 class MultilinearOp:
     """A multilinear operation given by its structure-constant tensor.
 
@@ -127,9 +133,9 @@ class MultilinearOp:
     def from_sparse(name: str, arity: int, dim: int, items: Iterable[Sequence]) -> "MultilinearOp":
         entries: Dict[Tuple[int, ...], Dict[int, object]] = {}
         for item in items:
-            *idx, k, c = item
-            if len(idx) != arity:
+            if not isinstance(item, (list, tuple)) or len(item) != arity + 2:
                 raise FdalgError(f"entry {item!r} does not match arity {arity}")
+            *idx, k, c = item
             idx = tuple(_index_from_json(i, dim) for i in idx)
             k = _index_from_json(k, dim)
             out = entries.setdefault(idx, {})
@@ -272,11 +278,11 @@ class AlgebraSpec:
 
     @staticmethod
     def from_json(data: dict) -> "AlgebraSpec":
-        dim = int(data["dim"])
+        dim = _size_from_json(data["dim"], "dim")
         ops = {}
         for o in data["ops"]:
             ops[o["name"]] = MultilinearOp.from_sparse(
-                o["name"], int(o["arity"]), dim, o.get("entries", [])
+                o["name"], _size_from_json(o["arity"], "arity"), dim, o.get("entries", [])
             )
         unit = data.get("unit")
         if unit is not None:

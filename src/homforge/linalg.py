@@ -8,7 +8,7 @@ machinery the bounded quotients need.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .rationals import ONE, ZERO
 
@@ -24,6 +24,9 @@ class RowSpace:
     def __init__(self, key: Optional[Callable] = None):
         self.key = key
         self.rows: Dict[Hashable, Row] = {}  # pivot -> normalized row
+        # column -> pivots of the stored rows holding it, pivot columns
+        # excluded; kept exact so add touches only the rows it must change
+        self._holders: Dict[Hashable, Set[Hashable]] = {}
 
     @property
     def rank(self) -> int:
@@ -55,16 +58,26 @@ class RowSpace:
         piv = max(res, key=self.key) if self.key else max(res)
         inv = ONE / res[piv]
         norm = {k: c * inv for k, c in res.items()}
-        # eliminate the new pivot from stored rows
-        for other_piv, other in list(self.rows.items()):
-            c = other.get(piv)
-            if c:
-                for k, bc in norm.items():
-                    s = other.get(k, ZERO) - c * bc
-                    if s == 0:
-                        other.pop(k, None)
-                    else:
-                        other[k] = s
+        holders = self._holders
+        touched = holders.pop(piv, ())
+        for k in norm:
+            if k != piv:
+                holders.setdefault(k, set()).add(piv)
+        # eliminate the new pivot from the stored rows that hold it; every
+        # other column they gain or lose is a column of the new row
+        for other_piv in touched:
+            other = self.rows[other_piv]
+            c = other[piv]
+            for k, bc in norm.items():
+                s = other.get(k, ZERO) - c * bc
+                if s == 0:
+                    del other[k]
+                    if k != piv:
+                        holders[k].discard(other_piv)
+                else:
+                    if k not in other:
+                        holders[k].add(other_piv)
+                    other[k] = s
         self.rows[piv] = norm
         return res
 

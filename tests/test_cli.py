@@ -305,6 +305,29 @@ def test_twist_witness_message(capsys, tmp_path):
     assert err == f"error: beta is not a morphism; witness ('mu', ('x', 'y'), {defect!r})\n"
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ("[[1,0,0],[0,0.1,0],[0,0,10]]", '"p/q"'),
+        ("", "Expecting value"),
+        ('{"mat": []}', '"matrix"'),
+        (None, "No such file"),
+    ],
+    ids=["float-entry", "empty-file", "no-matrix-key", "missing-file"],
+)
+def test_twist_file_is_read_strictly(capsys, tmp_path, content, named):
+    """A bad --twist file is a usage error naming the file and the fault."""
+    path = tmp_path / "twist.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(
+        capsys, "check", "--algebra", "sl2", "--twist", str(path), "--identity", "hom_lie"
+    )
+    assert code == 2 and not out
+    assert err.startswith(f"error: --twist {path}: ") and err.count("\n") == 1
+    assert named in err
+
+
 def _readme_commands():
     import shlex
     from pathlib import Path

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homforge.expr import (
     Leaf,
@@ -15,6 +16,7 @@ from homforge.expr import (
     apply_alpha,
     apply_op,
     gen_mono,
+    mono_key,
     mul,
     mono_from_json,
     mono_to_json,
@@ -176,3 +178,56 @@ def test_zero_coefficients_pruned():
     p = mul(V("x"), V("y")) - mul(V("x"), V("y"))
     assert p.is_zero() and p.terms == {}
     assert render_poly(p) == "0"
+
+
+def _four_walk_mono_key(m):
+    """mono_key as four separate walks (degree, arities, ops, leaves): the
+    oracle for the one-walk version."""
+
+    def degree(t):
+        if t is UNIT:
+            return 0
+        if isinstance(t, Leaf):
+            return 1
+        return sum(degree(a) for a in t.args)
+
+    def arities(t):
+        if t is UNIT:
+            return [-1]
+        if isinstance(t, Leaf):
+            return [0]
+        return [len(t.args)] + [x for a in t.args for x in arities(a)]
+
+    def ops(t):
+        if not isinstance(t, Node):
+            return []
+        return [t.op] + [o for a in t.args for o in ops(a)]
+
+    def leaves(t):
+        if t is UNIT:
+            return []
+        if isinstance(t, Leaf):
+            return [(t.base, t.exp)]
+        return [l for a in t.args for l in leaves(a)]
+
+    return (degree(m), tuple(arities(m)), tuple(ops(m)), tuple(leaves(m)))
+
+
+monomials = st.recursive(
+    st.one_of(
+        st.builds(Leaf, st.sampled_from("abc"), st.integers(0, 3)),
+        st.just(UNIT),
+    ),
+    lambda kids: st.builds(
+        Node, st.sampled_from(["*", "br", "t"]), st.lists(kids, min_size=1, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(monomials, min_size=1, max_size=6))
+def test_mono_key_matches_four_walk_oracle(ms):
+    for m in ms:
+        assert mono_key(m) == _four_walk_mono_key(m)
+    assert sorted(ms, key=mono_key) == sorted(ms, key=_four_walk_mono_key)

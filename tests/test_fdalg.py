@@ -1,6 +1,7 @@
 """Tests for structure-constant algebras, identity checking, and twisting."""
 
 import itertools
+import re
 
 import pytest
 import sympy
@@ -71,6 +72,26 @@ def test_spec_json_roundtrip(sl2):
     again = AlgebraSpec.from_json(sl2.to_json())
     assert again.ops["mu"] == sl2.ops["mu"]
     assert again.alpha == sl2.alpha
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", "3"), ("dim", 3.0), ("dim", True), ("dim", -3),
+     ("arity", 2.7), ("arity", "2"), ("arity", 2.0), ("arity", True),
+     ("entry", 5), ("entry", [0, 1])],
+)
+def test_from_json_rejects_malformed_sizes_and_entries(sl2, field, value):
+    """dim and arity are read as they are, never through int(), and an
+    entry must be a list of arity + 2 items."""
+    data = sl2.to_json()
+    if field == "dim":
+        data["dim"] = value
+    elif field == "arity":
+        data["ops"][0]["arity"] = value
+    else:
+        data["ops"][0]["entries"][0] = value
+    with pytest.raises(FdalgError, match=re.escape(f"{field} {value!r} ")):
+        AlgebraSpec.from_json(data)
 
 
 def test_eval_examples(sl2):

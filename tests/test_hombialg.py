@@ -38,6 +38,7 @@ from homforge.hombialg import (
     delta_by_partitions,
     delta_summand,
     is_primitive,
+    phi_signature,
     pi_map,
     u_hom,
     u_hom_relations,
@@ -196,6 +197,56 @@ def test_antipode_exhaustive_degree_three():
         for m in all_binary_monomials(gens, d):
             res = check_antipode(m, quotient=quotient)
             assert res.ok, m
+
+
+def _rewrite_classes(comp):
+    """Classes of the component's monomials under its Hom-associativity
+    rewrites, by union-find over the edges that stay inside the component."""
+    members = set(comp.monomials)
+    parent = {m: m for m in members}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    for m in comp.monomials:
+        for m2 in comp._rewrites(m):
+            if m2 in members:
+                parent[find(m)] = find(m2)
+    return len({find(m) for m in members})
+
+
+# the degree-5 antipode words of the benchmark's cost classes
+DEGREE_FIVE_WORDS = [
+    "(((a*b)*a)*(b*c))", "((a*b)*(c*(b*c)))", "((a*b)*((a*c)*c))", "((a*b)*(c*(a*b)))",
+    "(a*((b*c)*(d*e)))", "(((a*a)*(b*b))*c)", "(((a*b)*(b*a))*c)",
+]
+
+
+def test_quotient_rank_matches_union_find():
+    """The relations are binomial, so each component's rank is its number of
+    monomials minus its number of rewrite classes."""
+    shared = FreeHomAssocQuotient(("a", "b", "c"), 4, 8)
+    for d in range(1, 5):
+        for m in all_binary_monomials(("a", "b", "c"), d):
+            shared.component(phi_signature(m))
+            assert check_antipode(m, quotient=shared).ok, m
+    components = list(shared._components.values())
+    for w in DEGREE_FIVE_WORDS:
+        m = mono(w)
+        # the quotient check_antipode builds by default: degree 5, exponent 10
+        q = FreeHomAssocQuotient(sorted(set(w) - set("(*)")), 5, 10)
+        assert check_antipode(m, quotient=q).ok, w
+        components += q._components.values()
+    assert len(components) > 100
+    for comp in components:
+        assert comp.rank == len(comp.monomials) - _rewrite_classes(comp), comp.signature
+
+
+def test_antipode_degree_six_repeated_word():
+    assert check_antipode(mono("((a*b)*(a*b))*(a*b)")).status == "pass"
 
 
 def test_antipode_inconclusive_on_tight_bounds():

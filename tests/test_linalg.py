@@ -1,7 +1,7 @@
 """Property tests for exact sparse row reduction."""
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homforge.linalg import RowSpace
 from homforge.rationals import rat
@@ -24,3 +24,61 @@ def test_rowspace_rank_and_residuals(rows, probes):
         res = space.reduce(probe)
         assert not set(res) & set(space.pivots())
         assert space.reduce(res) == res
+
+
+binomial_rows = (
+    st.tuples(st.integers(0, COLUMNS - 1), st.integers(0, COLUMNS - 1))
+    .filter(lambda mm: mm[0] != mm[1])
+    .map(lambda mm: {mm[0]: rat(1), mm[1]: rat(-1)})
+)
+
+
+def _check_invariants(space):
+    """Pivots are normalised maxima, no row holds another pivot, and the
+    column index is exactly the column -> rows map of the stored rows."""
+    holders = {}
+    for piv, row in space.rows.items():
+        assert row[piv] == 1 and max(row, key=space.key) == piv
+        assert not (set(row) - {piv}) & set(space.rows)
+        for k in row:
+            if k != piv:
+                holders.setdefault(k, set()).add(piv)
+    assert space._holders == holders
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.permutations(range(COLUMNS)),
+    st.lists(st.one_of(sparse_rows, binomial_rows), min_size=1, max_size=10),
+    st.lists(st.one_of(sparse_rows, binomial_rows), max_size=4),
+)
+# the second row cancels both non-pivot entries of the first
+@example(list(range(COLUMNS)), [{2: rat(1), 1: rat(1), 0: rat(1)}, {1: rat(1), 0: rat(1)}], [])
+def test_rowspace_matches_sympy_rref(order, rows, probes):
+    """Stored rows and residuals agree with sympy's reduced echelon form,
+    taken with the columns sorted by decreasing key (the pivot is the
+    column of maximal key)."""
+    rank_of = {k: r for r, k in enumerate(order)}
+    space = RowSpace(key=rank_of.__getitem__)
+    for row in rows:
+        space.add(row)
+        _check_invariants(space)
+    cols = sorted(range(COLUMNS), key=rank_of.__getitem__, reverse=True)
+    dense = sympy.Matrix(
+        [[sympy.Rational(str(row.get(k, 0))) for k in cols] for row in rows]
+    )
+    rref, pivot_positions = dense.rref()
+    echelon = {}
+    for i, p in enumerate(pivot_positions):
+        echelon[cols[p]] = {cols[j]: rref[i, j] for j in range(COLUMNS) if rref[i, j] != 0}
+    assert {p: {k: sympy.Rational(str(c)) for k, c in row.items()}
+            for p, row in space.rows.items()} == echelon
+    for probe in rows + probes:
+        want = {k: sympy.Rational(str(c)) for k, c in probe.items()}
+        for p, erow in echelon.items():
+            c = want.get(p, 0)
+            for k, e in erow.items():
+                want[k] = want.get(k, 0) - c * e
+        want = {k: c for k, c in want.items() if c != 0}
+        got = {k: sympy.Rational(str(c)) for k, c in space.reduce(probe).items()}
+        assert got == want
