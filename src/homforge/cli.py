@@ -15,7 +15,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .expr import ParseError, parse_poly, render_mono, render_poly
+from .expr import ParseError, SignatureError, parse_poly, render_mono, render_poly
 from .fdalg import (
     AlgebraSpec,
     FdalgError,
@@ -27,7 +27,6 @@ from .fdalg import (
     classical,
     dense,
     hom_version,
-    load_algebra_file,
     sabinin_from,
     yau_twist,
     zero_matrix,
@@ -37,7 +36,7 @@ from .homify import (
     catalog,
     catalog_names,
     homify_identity,
-    load_identity_file,
+    identity_system_from_json,
 )
 from .hombialg import (
     BoundsError,
@@ -69,10 +68,25 @@ def _emit(args, command: str, status: str, payload: dict, human: List[str], t0: 
     return _STATUS_CODE[status]
 
 
+# Bad input raises these; any other exception is a bug and keeps its traceback.
+DOMAIN_ERRORS = (ParseError, SignatureError, HomifyError, FdalgError, BoundsError)
+
+
+def _read_file(option: str, path: str, parse):
+    """parse() of the JSON document in the file given to option. When the
+    file cannot be read, is not JSON or is rejected by parse, the error
+    names the option and the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, *DOMAIN_ERRORS) as exc:
+        raise FdalgError(f"{option} {path}: {exc}") from None
+
+
 def _load_algebra(args) -> AlgebraSpec:
     name = args.algebra
     if os.path.exists(name):
-        spec = load_algebra_file(name)
+        spec = _read_file("--algebra", name, AlgebraSpec.from_json)
     else:
         spec = builtin_algebra(name)
     if getattr(args, "alpha_zero", False):
@@ -82,33 +96,30 @@ def _load_algebra(args) -> AlgebraSpec:
         if twist == "bundled":
             spec = hom_version(spec)
         else:
-            spec = yau_twist(classical(spec), _read_twist(twist))
+            spec = yau_twist(classical(spec), _read_file("--twist", twist, _twist_matrix))
     return spec
 
 
-def _read_twist(path: str):
+def _twist_matrix(data):
     """The --twist FILE matrix: a JSON list of rows, or {"matrix": rows},
     whose entries are ints or "p/q" strings."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        rows = data.get("matrix") if isinstance(data, dict) else data
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise FdalgError('expected a list of rows or {"matrix": rows}')
-        return tuple(tuple(rat_from_json(c, FdalgError) for c in r) for r in rows)
-    except (OSError, ValueError) as exc:
-        raise FdalgError(f"--twist {path}: {exc}") from None
+    rows = data.get("matrix") if isinstance(data, dict) else data
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise FdalgError('expected a list of rows or {"matrix": rows}')
+    return tuple(tuple(rat_from_json(c, FdalgError) for c in r) for r in rows)
 
 
-def _load_identity(name: str):
+def _load_identity(name: str, option: str = "--identity"):
     if os.path.exists(name):
-        return load_identity_file(name)
+        return _read_file(option, name, identity_system_from_json)
     return catalog(name)
 
 
 def cmd_homify(args) -> int:
     t0 = time.perf_counter()
-    system = _load_identity(args.builtin or args.identity)
+    system = _load_identity(
+        args.builtin or args.identity, "--builtin" if args.builtin else "--identity"
+    )
     if system.hom_form:
         raise HomifyError(
             f"{system.name} already carries twisting exponents; pick the ordinary form"
@@ -377,7 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, HomifyError, FdalgError, BoundsError, KeyError, ValueError) as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -63,8 +63,13 @@ class Signature:
 
     @staticmethod
     def from_json(data: dict) -> "Signature":
+        ops = json_key(data, "ops", SignatureError, "a signature")
         return Signature(
-            [(o["name"], o["arity"]) for o in data["ops"]],
+            [
+                (json_key(o, "name", SignatureError, "an operation"),
+                 json_key(o, "arity", SignatureError, "an operation"))
+                for o in ops
+            ],
             unitary=data.get("unitary", False),
         )
 
@@ -473,6 +478,8 @@ class _Parser:
                 self.next()
                 return Poly.unit(ONE)
             self.next()
+            if re.fullmatch(r"\d+/0+", t):
+                raise ParseError(f"zero denominator in {t!r}")
             c = rat(t)
             if self.peek() == "*":
                 self.next()
@@ -536,6 +543,14 @@ def parse_poly(s: str) -> Poly:
 # leaves {"var": name, "exp": k} and the unit {"unit": true}.
 
 
+def json_key(data, key: str, error, what: str):
+    """data[key] of a JSON object (`what`). A missing key raises `error`,
+    the caller's domain error class, with a message naming the key."""
+    if not isinstance(data, dict) or key not in data:
+        raise error(f"missing {key!r} key in {what}")
+    return data[key]
+
+
 def mono_to_json(m: Monomial):
     if m is UNIT:
         return {"unit": True}
@@ -554,7 +569,7 @@ def mono_from_json(data) -> Monomial:
         exp = data.get("exp", 0)
         if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
             raise ParseError(f"exponent {exp!r} is not a non-negative integer")
-        return Leaf(data["var"], exp)
+        return Leaf(json_key(data, "var", ParseError, "a leaf"), exp)
     if isinstance(data, list):
         if len(data) < 3:
             raise ParseError("operation nodes need an op symbol and >= 2 children")
@@ -573,6 +588,7 @@ def poly_to_json(p: Poly) -> list:
 def poly_from_json(terms: list) -> Poly:
     out: Dict[Monomial, object] = {}
     for t in terms:
-        m = mono_from_json(t["tree"])
-        out[m] = out.get(m, ZERO) + rat_from_json(t["coeff"], ParseError)
+        m = mono_from_json(json_key(t, "tree", ParseError, "a term"))
+        c = rat_from_json(json_key(t, "coeff", ParseError, "a term"), ParseError)
+        out[m] = out.get(m, ZERO) + c
     return Poly(out)

@@ -24,6 +24,7 @@ from .expr import (
     UNIT,
     apply_alpha,
     apply_op,
+    json_key,
     leaves,
     mul,
     poly_from_json,
@@ -278,12 +279,15 @@ class AlgebraSpec:
 
     @staticmethod
     def from_json(data: dict) -> "AlgebraSpec":
-        dim = _size_from_json(data["dim"], "dim")
+        def need(obj, key, what="algebra JSON"):
+            return json_key(obj, key, FdalgError, what)
+
+        dim = _size_from_json(need(data, "dim"), "dim")
         ops = {}
-        for o in data["ops"]:
-            ops[o["name"]] = MultilinearOp.from_sparse(
-                o["name"], _size_from_json(o["arity"], "arity"), dim, o.get("entries", [])
-            )
+        for o in need(data, "ops"):
+            name = need(o, "name", "an operation")
+            arity = _size_from_json(need(o, "arity", "an operation"), "arity")
+            ops[name] = MultilinearOp.from_sparse(name, arity, dim, o.get("entries", []))
         unit = data.get("unit")
         if unit is not None:
             if len(unit) != dim:
@@ -292,9 +296,9 @@ class AlgebraSpec:
             unit = {i: coords[i] for i in range(dim) if coords[i] != 0}
         return AlgebraSpec(
             dim,
-            data["basis"],
+            need(data, "basis"),
             ops,
-            tuple(tuple(rat_from_json(c, FdalgError) for c in row) for row in data["alpha"]),
+            tuple(tuple(rat_from_json(c, FdalgError) for c in row) for row in need(data, "alpha")),
             unit,
             name=data.get("name", ""),
             cls=data.get("class", ""),

@@ -14,7 +14,6 @@ component is reported as inconclusive, never as a refutation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -24,6 +23,7 @@ from .expr import (
     Monomial,
     Node,
     Poly,
+    SignatureError,
     UNIT,
     alpha_mono,
     apply_alpha,
@@ -34,6 +34,7 @@ from .expr import (
     mono_key,
     mul,
     mul_mono,
+    rename_leaves,
 )
 from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector, matrix
 from .linalg import RowSpace, kernel
@@ -127,7 +128,7 @@ def delta(m: Monomial) -> TensorElement:
     if isinstance(m, Leaf):
         return TensorElement.pair(UNIT, m) + TensorElement.pair(m, UNIT)
     if len(m.args) != 2:
-        raise ValueError("the coproduct is defined for binary products only")
+        raise SignatureError("the coproduct is defined for binary products only")
     return delta(m.args[0]).product(delta(m.args[1]), m.op)
 
 
@@ -238,7 +239,7 @@ def antipode_mono(m: Monomial) -> Tuple[object, Monomial]:
     if isinstance(m, Leaf):
         return -ONE, m
     if len(m.args) != 2:
-        raise ValueError("the antipode is defined for binary products only")
+        raise SignatureError("the antipode is defined for binary products only")
     sa, ma = antipode_mono(m.args[0])
     sb, mb = antipode_mono(m.args[1])
     return sa * sb, mul_mono(mb, ma, m.op)
@@ -577,25 +578,30 @@ def check_antipode(
 
 def alpha_injectivity_probe(
     generators: Sequence[str], max_degree: int, exp_bound: int
-) -> Dict[int, bool]:
+) -> Dict[int, str]:
     """Finite sections of injectivity of the twisting map on F_{alpha,ass}.
 
     For each degree n: whenever alpha(p) lies in the bounded relation span,
-    check that p already does. Returns {degree: section passed}.
+    check that p already does. Returns {degree: "pass", "fail" or
+    "inconclusive"}: a p with a nonzero normal form fails the section when
+    none of the components it meets was truncated, and leaves it
+    inconclusive otherwise.
     """
     quotient = FreeHomAssocQuotient(generators, max_degree, exp_bound + 1)
     inner = FreeHomAssocQuotient(generators, max_degree, exp_bound)
-    out: Dict[int, bool] = {}
+    out: Dict[int, str] = {}
     for n in range(1, max_degree + 1):
         monos = inner.monomials_of_degree(n)
         images = [dict(quotient.nf(apply_alpha(Poly.monomial(m), 1)).terms) for m in monos]
-        ok = True
+        out[n] = "pass"
         for combo in kernel(images, key=mono_key):
             p = Poly({m: c for m, c in zip(monos, combo) if c != 0})
-            if not inner.reduce(p).is_zero():
-                ok = False
+            status = inner.reduce(p).status
+            if status == "nonzero":
+                out[n] = "fail"
                 break
-        out[n] = ok
+            if status == "inconclusive":
+                out[n] = "inconclusive"
     return out
 
 
@@ -710,74 +716,53 @@ class FilteredQuotient:
         return {k: (graded[k], ranks[k]) for k in degs}
 
 
+def _substitute(
+    template: Poly, letters: Sequence[str], word: Sequence[int], basis: Sequence[str], alpha: Matrix
+) -> Poly:
+    """template with letters[i] -> basis[word[i]], expanded through alpha.
+
+    A word that repeats a basis letter merges template monomials; their
+    coefficients are summed."""
+    mapping = {l: basis[i] for l, i in zip(letters, word)}
+    out: Dict[Monomial, object] = {}
+    for m, c in template.terms.items():
+        key = rename_leaves(m, mapping)
+        out[key] = out.get(key, ZERO) + c
+    return expand_exponents(Poly(out), basis, alpha)
+
+
 def u_hom_relations(fam: OpFamily, alpha: Matrix, degree_bound: int) -> List[Poly]:
     """Generators of the enveloping ideal, as elements of K{S}.
 
-    Three families: <u;a,b> + q(u,a,b) - q(u,b,a) for nonempty basis words u,
-    [a,b] + <a,b> with [a,b] the free commutator, and Phi(u,v) minus the
-    symmetrized q-average wherever Phi tables exist.
+    Three families: [a,b] + <a,b> with [a,b] the free commutator,
+    <u;a,b> + q(u,a,b) - q(u,b,a) for nonempty basis words u, and Phi(u,v)
+    minus the symmetrized q-average wherever Phi tables exist. Each relation
+    is a table value minus a symbolic template, one per shape on fixed
+    letters, with the basis letters substituted.
     """
-    basis = fam.basis
-    dim = fam.dim
+    basis, dim = fam.basis, fam.dim
     solver = QSolver()
-    sym_cache: Dict[Tuple[int, int], Poly] = {}
-
-    def q_free(u_idx: Tuple[int, ...], v_idx: Tuple[int, ...], z_idx: int) -> Poly:
-        n, m = len(u_idx), len(v_idx)
-        shape = (n, m)
-        if shape not in sym_cache:
-            u = tuple(f"u{i}" for i in range(n))
-            v = tuple(f"v{j}" for j in range(m))
-            sym_cache[shape] = solver.q(u, v, "zz")
-        template = sym_cache[shape]
-        mapping = {f"u{i}": basis[u_idx[i]] for i in range(n)}
-        mapping.update({f"v{j}": basis[v_idx[j]] for j in range(m)})
-        mapping["zz"] = basis[z_idx]
-        renamed = Poly(
-            {
-                map_leaves(mono, lambda l: Leaf(mapping[l.base], l.exp)): c
-                for mono, c in template.terms.items()
-            }
-        )
-        return expand_exponents(renamed, basis, alpha)
-
     relations: List[Poly] = []
-    for a in range(dim):
-        for b in range(a, dim):
-            r = (
-                mul(Poly.gen(basis[a]), Poly.gen(basis[b]))
-                - mul(Poly.gen(basis[b]), Poly.gen(basis[a]))
-                + _vector_poly(fam.brackets[0].basis_value((a, b)), basis)
-            )
+
+    def relate(op, template: Poly, letters: Sequence[str], indices) -> None:
+        for idx in indices:
+            value = _vector_poly(op.basis_value(idx), basis)
+            r = value - _substitute(template, letters, idx, basis, alpha)
             if not r.is_zero():
                 relations.append(r)
+
+    a, b = Poly.gen("a"), Poly.gen("b")
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    relate(fam.brackets[0], mul(b, a) - mul(a, b), ("a", "b"), pairs)
     for n in range(1, min(fam.cutoff, degree_bound - 2) + 1):
-        for word in itertools.product(range(dim), repeat=n):
-            for a in range(dim):
-                for b in range(a + 1, dim):
-                    r = (
-                        _vector_poly(
-                            fam.brackets[n].basis_value((*word, a, b)), basis
-                        )
-                        + q_free(word, (a,), b)
-                        - q_free(word, (b,), a)
-                    )
-                    if not r.is_zero():
-                        relations.append(r)
+        u = tuple(f"u{i}" for i in range(n))
+        words = (w for w in itertools.product(range(dim), repeat=n + 2) if w[-2] < w[-1])
+        relate(fam.brackets[n], solver.bracket(u, "a", "b"), (*u, "a", "b"), words)
     for (n, m), phi_op in fam.phi.items():
-        if n + m > degree_bound:
-            continue
-        for uw in itertools.product(range(dim), repeat=n):
-            for vw in itertools.product(range(dim), repeat=m):
-                total = Poly.zero()
-                for su in itertools.permutations(uw):
-                    for sv in itertools.permutations(vw):
-                        total = total + q_free(su, sv[:-1], sv[-1])
-                r = _vector_poly(phi_op.basis_value((*uw, *vw)), basis) - total.scaled(
-                    rat(1, math.factorial(n) * math.factorial(m))
-                )
-                if not r.is_zero():
-                    relations.append(r)
+        if n + m <= degree_bound:
+            letters = tuple(f"u{i}" for i in range(n)) + tuple(f"v{j}" for j in range(m))
+            template = solver.phi(letters[:n], letters[n:])
+            relate(phi_op, template, letters, itertools.product(range(dim), repeat=n + m))
     return relations
 
 

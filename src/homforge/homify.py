@@ -28,6 +28,7 @@ from .expr import (
     apply_alpha,
     apply_op,
     gen_mono,
+    json_key,
     leaves,
     poly_from_json,
     poly_to_json,
@@ -416,7 +417,7 @@ def catalog(name: str) -> IdentitySystem:
     key = _ALIASES.get(key, key)
     builders = _catalog_builders()
     if key not in builders:
-        raise KeyError(f"unknown identity system {name!r}; known: {catalog_names()}")
+        raise HomifyError(f"unknown identity system {name!r}; known: {catalog_names()}")
     return builders[key]()
 
 
@@ -567,11 +568,14 @@ def identity_system_to_json(system: IdentitySystem) -> dict:
 
 
 def identity_system_from_json(data: dict) -> IdentitySystem:
-    sig = Signature.from_json(data["signature"])
+    sig = Signature.from_json(json_key(data, "signature", HomifyError, "identity JSON"))
     if "identities" in data:
-        polys = tuple(poly_from_json(i["terms"]) for i in data["identities"])
+        polys = tuple(
+            poly_from_json(json_key(i, "terms", HomifyError, "an identity"))
+            for i in data["identities"]
+        )
     else:
-        polys = (poly_from_json(data["terms"]),)
+        polys = (poly_from_json(json_key(data, "terms", HomifyError, "identity JSON")),)
     return IdentitySystem(
         data.get("name", "anonymous"), sig, polys, bool(data.get("hom_form", False))
     )

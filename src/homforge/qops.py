@@ -13,17 +13,18 @@ factor when one part is empty. Base cases: q vanishes when u or v is empty.
 That convention is the unique one reproducing the worked q_{1,1}, q_{2,1}
 and q_{1,2} formulas, and the build asserts that reproduction in the tests.
 
-The solver runs both symbolically (in the free algebra on letters) and
-numerically (on a structure-constant algebra).
+One recursion runs both symbolically (QSolver, in the free algebra on
+letters) and numerically (NumericQSolver, on a structure-constant algebra);
+the two differ only in their arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Tuple
+from typing import Dict
 
-from .expr import MUL, Poly, Word, apply_alpha, mul, unshuffle_pairs
+from .expr import MUL, Poly, apply_alpha, mul, unshuffle_pairs
 from .fdalg import (
     AlgebraSpec,
     FdalgError,
@@ -34,74 +35,96 @@ from .fdalg import (
     tabulate,
     tabulate_poly,
 )
-from .homify import hom_associator, right_normed_homified
 from .rationals import ONE, rat
 
 
-class QSolver:
-    """Symbolic q^alpha in the free algebra on the letters of the words."""
+class _QRecursion:
+    """The q^alpha recursion, Phi and the YIII bracket over the arithmetic
+    of a subclass: gen(letter), mul(a, b), alpha(x, k), lincomb([(c, x)])
+    and its zero."""
 
-    def __init__(self, op: str = MUL):
-        self.op = op
-        self.cache: Dict[Tuple[Word, Word, str], Poly] = {}
+    def __init__(self):
+        self.cache: Dict[tuple, object] = {}  # (u, v, z) -> q(u, v, z)
+        self._combs: Dict[tuple, object] = {}
 
-    def _comb(self, w: Word) -> Poly:
-        return Poly.monomial(right_normed_homified(w, self.op))
+    def _comb(self, w: tuple):
+        """[w]_alpha = (...((w1 w2) a(w3)) ...) a^{n-2}(wn), the homified left comb."""
+        hit = self._combs.get(w)
+        if hit is None:
+            hit = self.gen(w[0])
+            for j, letter in enumerate(w[1:]):
+                hit = self.mul(hit, self.alpha(self.gen(letter), j))
+            self._combs[w] = hit
+        return hit
 
-    def q(self, u: Word, v: Word, z: str) -> Poly:
+    def q(self, u: tuple, v: tuple, z):
         u, v = tuple(u), tuple(v)
         if not u or not v:
-            return Poly.zero()
+            return self.zero
         key = (u, v, z)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
+        mul, al = self.mul, self.alpha
         n, m = len(u), len(v)
-        lhs = hom_associator(
-            apply_alpha(self._comb(u), m - 1),
-            apply_alpha(self._comb(v), n - 1),
-            apply_alpha(Poly.gen(z), n + m - 2),
-            self.op,
-        )
-        corr = Poly.zero()
+        a = al(self._comb(u), m - 1)
+        b = al(self._comb(v), n - 1)
+        c = al(self.gen(z), n + m - 2)
+        terms = [  # the Hom-associator (a, b, c)_alpha minus the corrections
+            (ONE, mul(mul(a, b), al(c, 1))),
+            (-ONE, mul(al(a, 1), mul(b, c))),
+        ]
         for u1, u2 in unshuffle_pairs(u):
             for v1, v2 in unshuffle_pairs(v):
-                if not u1 and not v1:
-                    continue
-                if not u2 or not v2:
+                if not (u1 or v1) or not u2 or not v2:
                     continue  # q vanishes on empty words
                 inner = self.q(u2, v2, z)
-                if inner.is_zero():
+                if inner == self.zero:
                     continue
                 if u1 and v1:
-                    left = mul(
-                        apply_alpha(self._comb(u1), len(v1) - 1),
-                        apply_alpha(self._comb(v1), len(u1) - 1),
-                        self.op,
-                    )
-                elif u1:
-                    left = self._comb(u1)
+                    left = mul(al(self._comb(u1), len(v1) - 1), al(self._comb(v1), len(u1) - 1))
                 else:
-                    left = self._comb(v1)
-                corr = corr + mul(
-                    apply_alpha(left, len(u2) + len(v2)),
-                    apply_alpha(inner, len(u1) + len(v1) - 1),
-                    self.op,
-                )
-        res = lhs - corr
+                    left = self._comb(u1 or v1)
+                term = mul(al(left, len(u2) + len(v2)), al(inner, len(u1) + len(v1) - 1))
+                terms.append((-ONE, term))
+        res = self.lincomb(terms)
         self.cache[key] = res
         return res
 
-    def phi(self, u: Word, v: Word) -> Poly:
+    def phi(self, u: tuple, v: tuple):
         """Phi_{n,m}: the (1/n!m!)-average of q_{n,m-1} over both permutations."""
         n, m = len(u), len(v)
         if n < 1 or m < 2:
             raise ValueError("Phi is defined for |u| >= 1 and |v| >= 2")
-        total = Poly.zero()
-        for su in itertools.permutations(u):
-            for sv in itertools.permutations(v):
-                total = total + self.q(su, sv[:-1], sv[-1])
-        return total.scaled(rat(1, math.factorial(n) * math.factorial(m)))
+        weight = rat(1, math.factorial(n) * math.factorial(m))
+        return self.lincomb(
+            (weight, self.q(su, sv[:-1], sv[-1]))
+            for su in itertools.permutations(u)
+            for sv in itertools.permutations(v)
+        )
+
+    def bracket(self, u: tuple, a, b):
+        """The YIII_hom bracket <u; a, b> = q(u, b, a) - q(u, a, b)."""
+        return self.lincomb([(ONE, self.q(u, (b,), a)), (-ONE, self.q(u, (a,), b))])
+
+
+class QSolver(_QRecursion):
+    """Symbolic q^alpha in the free algebra on the letters of the words."""
+
+    zero = Poly.zero()
+    gen = staticmethod(Poly.gen)
+    alpha = staticmethod(apply_alpha)
+
+    def __init__(self, op: str = MUL):
+        super().__init__()
+        self.op = op
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return mul(a, b, self.op)
+
+    @staticmethod
+    def lincomb(terms) -> Poly:
+        return Poly(lincomb(terms))
 
 
 def q_symbolic(n: int, m: int, op: str = MUL) -> Poly:
@@ -112,79 +135,23 @@ def q_symbolic(n: int, m: int, op: str = MUL) -> Poly:
     return solver.q(u, v, "z")
 
 
-class NumericQSolver:
+class NumericQSolver(_QRecursion):
     """q^alpha evaluated on a structure-constant algebra with one binary product."""
 
+    zero: Vector = {}
+    lincomb = staticmethod(lincomb)
+
     def __init__(self, spec: AlgebraSpec, op: str = "mu"):
+        super().__init__()
+        if op not in spec.ops:
+            raise FdalgError(f"algebra has no operation {op!r}")
         self.spec = spec
         self.mu = spec.ops[op]
-        self.cache: Dict[Tuple[Tuple[int, ...], Tuple[int, ...], int], Vector] = {}
-        self._combs: Dict[Tuple[int, ...], Vector] = {}
+        self.gen = spec.basis_vector
+        self.alpha = spec.apply_alpha_vec
 
-    def _comb(self, w: Tuple[int, ...]) -> Vector:
-        hit = self._combs.get(w)
-        if hit is not None:
-            return hit
-        spec = self.spec
-        acc = spec.basis_vector(w[0])
-        for j, letter in enumerate(w[1:], start=1):
-            acc = self.mu.eval(
-                [acc, spec.apply_alpha_vec(spec.basis_vector(letter), j - 1)]
-            )
-        self._combs[w] = acc
-        return acc
-
-    def q(self, u: Tuple[int, ...], v: Tuple[int, ...], z: int) -> Vector:
-        spec, mu, al = self.spec, self.mu, self.spec.apply_alpha_vec
-        if not u or not v:
-            return {}
-        key = (u, v, z)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        n, m = len(u), len(v)
-        a = al(self._comb(u), m - 1)
-        b = al(self._comb(v), n - 1)
-        c = al(spec.basis_vector(z), n + m - 2)
-        terms = [  # the Hom-associator (a, b, c)_alpha minus the corrections
-            (ONE, mu.eval([mu.eval([a, b]), al(c, 1)])),
-            (-ONE, mu.eval([al(a, 1), mu.eval([b, c])])),
-        ]
-        for u1, u2 in unshuffle_pairs(u):
-            for v1, v2 in unshuffle_pairs(v):
-                if not u1 and not v1:
-                    continue
-                if not u2 or not v2:
-                    continue
-                inner = self.q(u2, v2, z)
-                if not inner:
-                    continue
-                if u1 and v1:
-                    left = mu.eval(
-                        [al(self._comb(u1), len(v1) - 1), al(self._comb(v1), len(u1) - 1)]
-                    )
-                elif u1:
-                    left = self._comb(u1)
-                else:
-                    left = self._comb(v1)
-                term = mu.eval(
-                    [al(left, len(u2) + len(v2)), al(inner, len(u1) + len(v1) - 1)]
-                )
-                terms.append((-ONE, term))
-        total = lincomb(terms)
-        self.cache[key] = total
-        return total
-
-    def phi(self, u: Tuple[int, ...], v: Tuple[int, ...]) -> Vector:
-        n, m = len(u), len(v)
-        if n < 1 or m < 2:
-            raise ValueError("Phi is defined for |u| >= 1 and |v| >= 2")
-        weight = rat(1, math.factorial(n) * math.factorial(m))
-        return lincomb(
-            (weight, self.q(su, sv[:-1], sv[-1]))
-            for su in itertools.permutations(u)
-            for sv in itertools.permutations(v)
-        )
+    def mul(self, a: Vector, b: Vector) -> Vector:
+        return self.mu.eval([a, b])
 
 
 def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True) -> OpFamily:
@@ -203,14 +170,12 @@ def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True)
     dim = spec.dim
     solver = NumericQSolver(spec, op)
 
-    def bracket_value(idx: Tuple[int, ...]) -> Vector:
-        u, a, b = idx[:-2], idx[-2], idx[-1]
-        return lincomb([(ONE, solver.q(u, (b,), a)), (-ONE, solver.q(u, (a,), b))])
-
     a, b = Poly.gen("a"), Poly.gen("b")
     brackets = {0: tabulate_poly("br0", spec, mul(b, a, op) - mul(a, b, op), "ab")}
     for n in range(1, cutoff + 1):
-        brackets[n] = tabulate(f"br{n}", n + 2, dim, bracket_value)
+        brackets[n] = tabulate(
+            f"br{n}", n + 2, dim, lambda idx: solver.bracket(idx[:-2], idx[-2], idx[-1])
+        )
     phi = {
         (n, m): tabulate(
             f"phi{n}_{m}", n + m, dim, lambda idx, n=n: solver.phi(idx[:n], idx[n:])

@@ -344,3 +344,84 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_zero_denominator_is_a_parse_error(capsys):
+    for expr in ("1/0*x", "(x*y) + 3/00*z"):
+        code, out, err = run(capsys, "coproduct", "--expr", expr)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1 and "zero denominator" in err
+
+
+def _sl2_without(key):
+    import homforge.fdalg as fdalg
+
+    data = fdalg.builtin_algebra("sl2").to_json()
+    if key == "arity":
+        del data["ops"][0]["arity"]
+    else:
+        del data[key]
+    return json.dumps(data)
+
+
+def _lie_without(key):
+    from homforge.homify import catalog, identity_system_to_json
+
+    data = identity_system_to_json(catalog("lie"))
+    if key == "signature":
+        return "{}"
+    del data["identities"][0]["terms"][0][key]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "option, content, named",
+    [
+        ("--algebra", _sl2_without("dim"), "missing 'dim' key"),
+        ("--algebra", _sl2_without("alpha"), "missing 'alpha' key"),
+        ("--algebra", _sl2_without("arity"), "missing 'arity' key"),
+        ("--algebra", "{not json", "--algebra FILE: Expecting property name"),
+        ("--identity", _lie_without("signature"), "missing 'signature' key"),
+        ("--identity", _lie_without("coeff"), "missing 'coeff' key"),
+        ("--identity", "", "--identity FILE: Expecting value"),
+    ],
+    ids=[
+        "algebra-no-dim", "algebra-no-alpha", "algebra-op-no-arity", "algebra-bad-json",
+        "identity-empty-object", "identity-term-no-coeff", "identity-empty-file",
+    ],
+)
+def test_missing_keys_and_bad_json_are_named(capsys, tmp_path, option, content, named):
+    """A malformed algebra or identity file is a usage error that names the
+    missing key, or the option and the file when it is not JSON."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    argv = {"--algebra": "sl2", "--identity": "lie"}
+    argv[option] = str(path)
+    code, out, err = run(capsys, "check", *(x for kv in argv.items() for x in kv))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named.replace("FILE", str(path)) in err
+
+
+def test_domain_errors_exit_two_with_plain_messages(capsys):
+    code, out, err = run(capsys, "check", "--algebra", "sl2", "--identity", "no_such")
+    assert code == 2 and not out
+    assert err.startswith("error: unknown identity system 'no_such'")  # not quoted
+    for argv in (["coproduct", "--expr", "T(a,b,c)"], ["antipode", "--word", "T(a,b,c)"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "binary products only" in err
+
+
+def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
+    """Only the domain errors become exit 2; a KeyError or ValueError raised
+    by a bug inside a command propagates."""
+    import homforge.cli as cli
+
+    for exc in (KeyError("boom"), ValueError("boom")):
+        def broken(p, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "delta_poly", broken)
+        with pytest.raises(type(exc)):
+            cli.main(["coproduct", "--expr", "(x*y)"])

@@ -1,6 +1,8 @@
 """Tests for coproducts, primitives, antipodes, and the bounded quotients."""
 
 
+import itertools
+
 import pytest
 
 from oracles import (
@@ -21,6 +23,7 @@ from homforge.expr import (
 )
 from homforge.fdalg import builtin_algebra, hom_version, sabinin_from, zero_matrix
 from homforge.hombialg import (
+    _substitute,
     BoundsError,
     FreeHomAssocQuotient,
     TensorElement,
@@ -37,6 +40,7 @@ from homforge.hombialg import (
     delta,
     delta_by_partitions,
     delta_summand,
+    expand_exponents,
     is_primitive,
     phi_signature,
     pi_map,
@@ -44,7 +48,7 @@ from homforge.hombialg import (
     u_hom_relations,
 )
 from homforge.homify import hom_associator, homify_identity
-from homforge.qops import QSolver
+from homforge.qops import QSolver, yiii_hom
 from homforge.rationals import rat
 
 V = Poly.gen
@@ -288,7 +292,12 @@ def test_quotient_bounds_errors():
 
 def test_alpha_injectivity_probe():
     report = alpha_injectivity_probe(("x", "y"), 3, 2)
-    assert report == {1: True, 2: True, 3: True}
+    assert report == {1: "pass", 2: "pass", 3: "pass"}
+    # the one kernel vector of degree 4 that does not reduce lies in a
+    # truncated component: the section is undecided, not failed
+    assert alpha_injectivity_probe(("x",), 4, 1)[4] == "inconclusive"
+    # with one more exponent, a non-reducing vector sits in an untruncated one
+    assert alpha_injectivity_probe(("x",), 4, 2)[4] == "fail"
 
 
 def test_u_hom_alpha_zero_relations_collapse():
@@ -357,6 +366,57 @@ def test_u_hom_nonzero_alpha_smoke():
     # a degree bound the family cannot supply is an error, not a truncation
     with pytest.raises(BoundsError):
         u_hom(fam, spec.alpha, 4)
+
+
+def _direct_u_hom_relations(fam, alpha, degree_bound):
+    """The enveloping relations in u_hom_relations's order, from QSolver run
+    on the basis letters themselves: no template and no renaming."""
+    basis, s = fam.basis, QSolver()
+
+    def vec(v):
+        return Poly({Leaf(basis[i], 0): c for i, c in v.items()})
+
+    def word(idx):
+        return tuple(basis[i] for i in idx)
+
+    out = []
+    for a in range(fam.dim):
+        for b in range(a, fam.dim):
+            ga, gb = V(basis[a]), V(basis[b])
+            out.append(mul(ga, gb) - mul(gb, ga) + vec(fam.brackets[0].basis_value((a, b))))
+    for n in range(1, min(fam.cutoff, degree_bound - 2) + 1):
+        for idx in itertools.product(range(fam.dim), repeat=n + 2):
+            if idx[-2] < idx[-1]:
+                q = s.bracket(word(idx[:-2]), basis[idx[-2]], basis[idx[-1]])
+                out.append(vec(fam.brackets[n].basis_value(idx)) - expand_exponents(q, basis, alpha))
+    for (n, m), op in fam.phi.items():
+        if n + m <= degree_bound:
+            for idx in itertools.product(range(fam.dim), repeat=n + m):
+                q = s.phi(word(idx[:n]), word(idx[n:]))
+                out.append(vec(op.basis_value(idx)) - expand_exponents(q, basis, alpha))
+    return [r for r in out if not r.is_zero()]
+
+
+@pytest.mark.parametrize("name, cls", [("sl2", "lie"), ("heis3", "yiii")])
+def test_u_hom_relations_match_q_on_basis_letters(name, cls):
+    """Relations from the per-shape templates equal those computed directly,
+    including the words that repeat a basis letter."""
+    spec = hom_version(builtin_algebra(name))
+    fam = yiii_hom(spec, 2) if cls == "yiii" else sabinin_from(spec, cls, 2)
+    rels = u_hom_relations(fam, spec.alpha, 4)
+    assert rels == _direct_u_hom_relations(fam, spec.alpha, 4)
+
+
+def test_substitution_sums_colliding_monomials():
+    """Renaming (u0, u1; v0; zz) to (h, h; x; y) merges monomials of the
+    (2, 1) template; their coefficients are summed, not overwritten."""
+    spec = hom_version(builtin_algebra("sl2"))
+    assert spec.basis == ("h", "x", "y")
+    s = QSolver()
+    template = s.q(("u0", "u1"), ("v0",), "zz")
+    assert len(template.terms) == 6
+    got = _substitute(template, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2), spec.basis, spec.alpha)
+    assert got == expand_exponents(s.q(("h", "h"), ("x",), "y"), spec.basis, spec.alpha)
 
 
 def test_ideal_coproduct_membership_alpha_zero():

@@ -139,7 +139,7 @@ def test_catalog_counts_and_contents():
     assert len(catalog("hom_bol").identities) == 5
     assert len(catalog("hom_lie_yamaguti").identities) == 6
     assert len(catalog("hom_lts").identities) == 3
-    with pytest.raises(KeyError):
+    with pytest.raises(HomifyError):
         catalog("no_such_system")
     assert "hom_malcev" in catalog_names()
 

@@ -173,6 +173,41 @@ def test_numeric_q_matches_symbolic_on_sl2():
                 assert eval_poly(spec, sym, assignment) == solver.q(u, (a,), z)
 
 
+# The printed q_{1,1}, q_{2,1} and q_{1,2} on (x; y; z), (x, y; t; z) and
+# (x; y, t; z), written with the Hom-associator and not through the recursion.
+_X, _Y, _T, _Z = V("x"), V("y"), V("t"), V("z")
+PRINTED_Q = {
+    (("x",), ("y",)): A(_X, _Y, _Z),
+    (("x", "y"), ("t",)): (
+        A(mul(_X, _Y), al(_T, 1), al(_Z, 1))
+        - mul(al(_X, 2), A(_Y, _T, _Z))
+        - mul(al(_Y, 2), A(_X, _T, _Z))
+    ),
+    (("x",), ("y", "t")): (
+        A(al(_X, 1), mul(_Y, _T), al(_Z, 1))
+        - mul(al(_Y, 2), A(_X, _T, _Z))
+        - mul(al(_T, 2), A(_X, _Y, _Z))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis3"])
+def test_numeric_q_matches_printed_formulas(name):
+    """An oracle independent of the recursion: NumericQSolver.q equals the
+    printed formulas evaluated on every basis tuple of the twisted algebra."""
+    from homforge.fdalg import eval_poly
+
+    spec = hom_version(builtin_algebra(name))
+    solver = NumericQSolver(spec)
+    for (u, v), formula in PRINTED_Q.items():
+        letters = (*u, *v, "z")
+        for idx in itertools.product(range(spec.dim), repeat=len(letters)):
+            assignment = {l: spec.basis_vector(i) for l, i in zip(letters, idx)}
+            want = eval_poly(spec, formula, assignment)
+            got = solver.q(idx[: len(u)], idx[len(u) : -1], idx[-1])
+            assert got == want, (u, v, idx)
+
+
 def test_yiii_abelian_all_zero():
     fam = yiii_hom(builtin_algebra("abelian3"), 2)
     assert all(op.is_zero() for op in fam.brackets.values())
