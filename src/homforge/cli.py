@@ -28,6 +28,7 @@ from .fdalg import (
     dense,
     hom_version,
     sabinin_from,
+    witness_str,
     yau_twist,
     zero_matrix,
 )
@@ -152,8 +153,7 @@ def cmd_check(args) -> int:
     doc["notes"] = doc.get("notes", []) + notes
     human = [f"check {spec.name or args.algebra} against {system.name}: {report.status}"]
     human += [f"  note: {n}" for n in doc["notes"]]
-    for ident, assign, defect in report.witnesses:
-        human.append(f"  witness {ident} at {assign}: defect {[rat_str(c) for c in defect]}")
+    human += [f"  witness {witness_str(w)}" for w in report.witnesses]
     return _emit(args, "check", report.status, doc, human, t0)
 
 

@@ -11,11 +11,48 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rationals import ONE, ZERO, rat, rat_from_json
 
 MUL = "mu"  # default symbol for the binary product
+
+
+# ---------------------------------------------------------------------------
+# Sparse combinations: {key: nonzero coefficient} dicts. Polynomials, tensor
+# elements and vectors are all summed by these three functions.
+
+
+def collect(pairs: Iterable[Tuple[object, object]]) -> Dict:
+    """The sum of the coefficients of each key over the (key, coefficient)
+    pairs, zeros dropped."""
+    out: Dict = {}
+    for k, c in pairs:
+        # the first coefficient is stored as it is: ZERO + c costs a
+        # rational addition per key
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def lincomb(terms: Iterable[Tuple[object, object]]) -> Dict:
+    """The sum of c*v over the (c, v) pairs, zeros dropped; each v is a dict
+    or a Poly."""
+    return collect((k, c * x) for c, v in terms for k, x in v.items())
+
+
+def expand(factors: Sequence[Dict], combine: Callable) -> Dict:
+    """The product of sparse combinations: every choice of one key per
+    factor, mapped through combine(*keys) and weighted by the product of
+    their coefficients."""
+
+    def terms():
+        for choice in itertools.product(*(f.items() for f in factors)):
+            c = choice[0][1]
+            for _, x in choice[1:]:
+                c = c * x
+            yield combine(*(k for k, _ in choice)), c
+
+    return collect(terms())
 
 
 class SignatureError(ValueError):
@@ -200,7 +237,10 @@ def mul_mono(a: Monomial, b: Monomial, op: str = MUL) -> Monomial:
 
 
 class Poly:
-    """Finite rational combination of monomials; zero coefficients are pruned."""
+    """Finite rational combination of monomials; zero coefficients are pruned.
+
+    The arithmetic returns the caller's class, so subclasses over other keys
+    (TensorElement) share it."""
 
     __slots__ = ("terms",)
 
@@ -209,9 +249,9 @@ class Poly:
             terms = {}
         self.terms = {m: c for m, c in terms.items() if c != 0}
 
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
+    @classmethod
+    def zero(cls) -> "Poly":
+        return cls()
 
     @staticmethod
     def monomial(m: Monomial, c=ONE) -> "Poly":
@@ -246,32 +286,25 @@ class Poly:
         return seen
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly(out)
+        return type(self)(collect(itertools.chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def scaled(self, c) -> "Poly":
         c = rat(c)
         if c == 0:
-            return Poly.zero()
-        return Poly({m: c * v for m, v in self.terms.items()})
+            return self.zero()
+        return type(self)({m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c) -> "Poly":
         return self.scaled(c)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -281,10 +314,6 @@ class Poly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
 
 
 def apply_op(op: str, args: Sequence[Poly], signature: Optional[Signature] = None) -> Poly:
@@ -300,25 +329,15 @@ def apply_op(op: str, args: Sequence[Poly], signature: Optional[Signature] = Non
             raise SignatureError(f"{op!r} has arity {want}, got {len(args)} arguments")
     if len(args) < 2:
         raise SignatureError("operations have arity >= 2")
-    out: Dict[Monomial, object] = {}
-    binary = len(args) == 2
-    for combo in itertools.product(*(p.terms.items() for p in args)):
-        c = ONE
-        for _, cc in combo:
-            c = c * cc
-        monos = [m for m, _ in combo]
-        if binary:
-            m = mul_mono(monos[0], monos[1], op)
-        else:
-            if any(x is UNIT for x in monos):
-                raise SignatureError("unit argument in an operation of arity > 2")
-            m = Node(op, tuple(monos))
-        s = out.get(m, ZERO) + c
-        if s == 0:
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return Poly(out)
+    if len(args) == 2:
+        return Poly(expand([args[0].terms, args[1].terms], lambda a, b: mul_mono(a, b, op)))
+
+    def combine(*monos: Monomial) -> Node:
+        if any(x is UNIT for x in monos):
+            raise SignatureError("unit argument in an operation of arity > 2")
+        return Node(op, monos)
+
+    return Poly(expand([p.terms for p in args], combine))
 
 
 def mul(p: Poly, q: Poly, op: str = MUL) -> Poly:
@@ -329,11 +348,7 @@ def apply_alpha(p: Poly, k: int) -> Poly:
     """Apply the twisting map k times to every monomial of p."""
     if k == 0:
         return p
-    out: Dict[Monomial, object] = {}
-    for m, c in p.terms.items():
-        mm = alpha_mono(m, k)
-        out[mm] = out.get(mm, ZERO) + c
-    return Poly(out)
+    return Poly(collect((alpha_mono(m, k), c) for m, c in p.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +368,7 @@ def unshuffle(w: Word) -> Dict[Tuple[Word, Word], object]:
     on letters, extended multiplicatively. Coefficients accumulate when the
     word has repeated letters.
     """
-    n = len(w)
-    out: Dict[Tuple[Word, Word], object] = {}
-    for mask in range(1 << n):
-        left = tuple(w[i] for i in range(n) if mask >> i & 1)
-        right = tuple(w[i] for i in range(n) if not mask >> i & 1)
-        key = (left, right)
-        out[key] = out.get(key, 0) + 1
-    return out
+    return collect((pair, 1) for pair in unshuffle_pairs(w))
 
 
 def unshuffle_pairs(w: Word) -> List[Tuple[Word, Word]]:
@@ -586,9 +594,8 @@ def poly_to_json(p: Poly) -> list:
 
 
 def poly_from_json(terms: list) -> Poly:
-    out: Dict[Monomial, object] = {}
-    for t in terms:
-        m = mono_from_json(json_key(t, "tree", ParseError, "a term"))
-        c = rat_from_json(json_key(t, "coeff", ParseError, "a term"), ParseError)
-        out[m] = out.get(m, ZERO) + c
-    return Poly(out)
+    return Poly(collect(
+        (mono_from_json(json_key(t, "tree", ParseError, "a term")),
+         rat_from_json(json_key(t, "coeff", ParseError, "a term"), ParseError))
+        for t in terms
+    ))

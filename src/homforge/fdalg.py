@@ -26,6 +26,7 @@ from .expr import (
     apply_op,
     json_key,
     leaves,
+    lincomb,
     mul,
     poly_from_json,
     poly_to_json,
@@ -43,19 +44,11 @@ from .homify import (
 )
 from .rationals import ONE, ZERO, rat, rat_from_json, rat_str
 
-# A vector is a sparse {basis index: nonzero rational}; {} is zero. Tables and
-# solver caches share vectors, so no function mutates one.
+# A vector is a sparse {basis index: nonzero rational}; {} is zero. Vectors
+# are summed by expr.lincomb, as polynomials are. Tables and solver caches
+# share vectors, so no function mutates one.
 Vector = Dict[int, object]
 Matrix = Tuple[Tuple[object, ...], ...]  # dense rows: the JSON shape of alpha
-
-
-def lincomb(terms: Iterable[Tuple[object, Vector]]) -> Vector:
-    """The sum of c*v over the (c, v) pairs, zeros dropped."""
-    out: Dict[int, object] = {}
-    for c, v in terms:
-        for i, x in v.items():
-            out[i] = out.get(i, ZERO) + c * x
-    return {i: x for i, x in out.items() if x != 0}
 
 
 def dense(v: Vector, dim: int) -> Tuple[object, ...]:
@@ -109,6 +102,12 @@ def _size_from_json(n, what: str) -> int:
     if isinstance(n, int) and not isinstance(n, bool) and n >= 0:
         return n
     raise FdalgError(f"{what} {n!r} is not a non-negative integer")
+
+
+def _list_from_json(value, what: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise FdalgError(f"{what} is not a list: {value!r}")
 
 
 class MultilinearOp:
@@ -283,22 +282,29 @@ class AlgebraSpec:
             return json_key(obj, key, FdalgError, what)
 
         dim = _size_from_json(need(data, "dim"), "dim")
+        basis = _list_from_json(need(data, "basis"), "'basis'")
+        if not all(isinstance(b, str) for b in basis) or len(set(basis)) != len(basis):
+            raise FdalgError(f"'basis' is not a list of distinct strings: {basis!r}")
         ops = {}
-        for o in need(data, "ops"):
+        for o in _list_from_json(need(data, "ops"), "'ops'"):
             name = need(o, "name", "an operation")
             arity = _size_from_json(need(o, "arity", "an operation"), "arity")
-            ops[name] = MultilinearOp.from_sparse(name, arity, dim, o.get("entries", []))
+            entries = _list_from_json(o.get("entries", []), f"'entries' of {name!r}")
+            ops[name] = MultilinearOp.from_sparse(name, arity, dim, entries)
         unit = data.get("unit")
         if unit is not None:
+            unit = _list_from_json(unit, "'unit'")
             if len(unit) != dim:
                 raise FdalgError(f"unit has {len(unit)} coordinates, not {dim}")
             coords = [rat_from_json(c, FdalgError) for c in unit]
             unit = {i: coords[i] for i in range(dim) if coords[i] != 0}
+        alpha = [_list_from_json(row, "a row of 'alpha'")
+                 for row in _list_from_json(need(data, "alpha"), "'alpha'")]
         return AlgebraSpec(
             dim,
-            need(data, "basis"),
+            basis,
             ops,
-            tuple(tuple(rat_from_json(c, FdalgError) for c in row) for row in need(data, "alpha")),
+            tuple(tuple(rat_from_json(c, FdalgError) for c in row) for row in alpha),
             unit,
             name=data.get("name", ""),
             cls=data.get("class", ""),
@@ -383,6 +389,13 @@ def is_morphism(spec: AlgebraSpec, beta: Matrix) -> Tuple[bool, Optional[tuple]]
 
 def is_multiplicative(spec: AlgebraSpec) -> Tuple[bool, Optional[tuple]]:
     return is_morphism(spec, spec.alpha)
+
+
+def witness_str(witness: tuple) -> str:
+    """A (name, arguments, dense defect) witness for messages, the defect
+    coordinates printed through rat_str."""
+    name, args, defect = witness
+    return f"{name} at {args}: defect {[rat_str(c) for c in defect]}"
 
 
 @dataclass
@@ -540,7 +553,7 @@ def yau_twist(spec: AlgebraSpec, beta: Matrix, check: bool = True, name: str = "
     if check:
         ok, witness = is_morphism(spec, beta)
         if not ok:
-            raise FdalgError(f"beta is not a morphism; witness {witness}")
+            raise FdalgError(f"beta is not a morphism; witness {witness_str(witness)}")
     cols = columns(beta)
     ops = {}
     for opname, op in spec.ops.items():
@@ -680,7 +693,7 @@ def sabinin_from(
         if not rep.ok:
             raise FdalgError(
                 f"algebra does not satisfy the {system} identities; "
-                f"witness {rep.witnesses[0]}"
+                f"witness {witness_str(rep.witnesses[0])}"
             )
     a, b, c = (Poly.gen(v) for v in "abc")
     printed = {  # <c; a, b>
@@ -856,7 +869,7 @@ def check_power_associative(
         status="pass", max_power=max_power, samples=samples, seed=seed
     )
     if not ok_mult:
-        report.notes.append(f"alpha is not multiplicative; witness {witness}")
+        report.notes.append(f"alpha is not multiplicative; witness {witness_str(witness)}")
         report.status = "fail"
         return report
     mu = spec.ops[op]

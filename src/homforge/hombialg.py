@@ -28,18 +28,23 @@ from .expr import (
     alpha_mono,
     apply_alpha,
     apply_op,
+    collect,
     degree,
+    expand,
     leaves,
+    lincomb,
     map_leaves,
     mono_key,
     mul,
     mul_mono,
     rename_leaves,
+    render_mono,
+    render_poly,
 )
 from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector, matrix
 from .linalg import RowSpace, kernel
 from .qops import QSolver
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, ZERO, rat, rat_str
 
 
 class BoundsError(ValueError):
@@ -50,65 +55,27 @@ class BoundsError(ValueError):
 # Tensor elements and the coproduct
 
 
-class TensorElement:
-    """Rational combination of ordered pairs of monomials (an element of B (x) B)."""
+class TensorElement(Poly):
+    """Rational combination of ordered pairs of monomials (an element of B (x) B).
 
-    __slots__ = ("terms",)
+    Sums, differences, scaling and equality are Poly's."""
 
-    def __init__(self, terms: Optional[Dict[Tuple[Monomial, Monomial], object]] = None):
-        if terms is None:
-            terms = {}
-        self.terms = {k: c for k, c in terms.items() if c != 0}
-
-    @staticmethod
-    def zero() -> "TensorElement":
-        return TensorElement()
+    __slots__ = ()
 
     @staticmethod
     def pair(a: Monomial, b: Monomial, c=ONE) -> "TensorElement":
         return TensorElement({(a, b): rat(c)})
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scaled(-ONE)
-
-    def scaled(self, c) -> "TensorElement":
-        return TensorElement({k: c * v for k, v in self.terms.items()})
-
     def product(self, other: "TensorElement", op: str = MUL) -> "TensorElement":
-        out: Dict[Tuple[Monomial, Monomial], object] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (mul_mono(l1, l2, op), mul_mono(r1, r2, op))
-                s = out.get(key, ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return TensorElement(out)
+        return TensorElement(expand(
+            [self.terms, other.terms],
+            lambda x, y: (mul_mono(x[0], y[0], op), mul_mono(x[1], y[1], op)),
+        ))
 
     def swap(self) -> "TensorElement":
         return TensorElement({(b, a): c for (a, b), c in self.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
     def __repr__(self) -> str:
-        from .expr import render_mono
-        from .rationals import rat_str
-
         if not self.terms:
             return "0"
         bits = []
@@ -133,10 +100,7 @@ def delta(m: Monomial) -> TensorElement:
 
 
 def delta_poly(p: Poly) -> TensorElement:
-    out = TensorElement.zero()
-    for m, c in p.terms.items():
-        out = out + delta(m).scaled(c)
-    return out
+    return TensorElement(lincomb((c, delta(m)) for m, c in p.terms.items()))
 
 
 def counit_mono(m: Monomial):
@@ -149,10 +113,10 @@ def counit(p: Poly):
 
 def is_primitive(p: Poly) -> bool:
     """Delta(p) = u(1) (x) p + p (x) u(1), exactly."""
-    want = TensorElement.zero()
-    for m, c in p.terms.items():
-        want = want + TensorElement.pair(UNIT, m, c) + TensorElement.pair(m, UNIT, c)
-    return delta_poly(p) == want
+    want = collect(
+        kc for m, c in p.terms.items() for kc in (((UNIT, m), c), ((m, UNIT), c))
+    )
+    return delta_poly(p).terms == want
 
 
 def delta_summand(m: Monomial, part1: Iterable[int]) -> Tuple[Monomial, Monomial]:
@@ -220,12 +184,10 @@ def delta_summand(m: Monomial, part1: Iterable[int]) -> Tuple[Monomial, Monomial
 def delta_by_partitions(m: Monomial) -> TensorElement:
     """The coproduct as the sum of delta_summand over all ordered partitions."""
     n = degree(m)
-    out: Dict[Tuple[Monomial, Monomial], object] = {}
-    for mask in range(1 << n):
-        part1 = frozenset(i for i in range(n) if mask >> i & 1)
-        key = delta_summand(m, part1)
-        out[key] = out.get(key, ZERO) + ONE
-    return TensorElement(out)
+    return TensorElement(collect(
+        (delta_summand(m, (i for i in range(n) if mask >> i & 1)), ONE)
+        for mask in range(1 << n)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +208,17 @@ def antipode_mono(m: Monomial) -> Tuple[object, Monomial]:
 
 
 def antipode(p: Poly) -> Poly:
-    out: Dict[Monomial, object] = {}
-    for m, c in p.terms.items():
-        s, mm = antipode_mono(m)
-        out[mm] = out.get(mm, ZERO) + s * c
-    return Poly(out)
+    images = ((antipode_mono(m), c) for m, c in p.terms.items())
+    return Poly(collect((mm, s * c) for (s, mm), c in images))
 
 
 def antipode_defect(m: Monomial) -> Poly:
     """alpha( sum u_(1) S(u_(2)) - u(eps(u)) ), the element that must die in
     the free Hom-associative quotient."""
-    total = Poly.zero()
-    for (m1, m2), c in delta(m).terms.items():
-        total = total + mul(Poly.monomial(m1), antipode(Poly.monomial(m2))).scaled(c)
-    total = total - Poly.unit(counit_mono(m))
-    return apply_alpha(total, 1)
+    terms = [(c, mul(Poly.monomial(m1), antipode(Poly.monomial(m2))))
+             for (m1, m2), c in delta(m).terms.items()]
+    terms.append((-ONE, Poly.unit(counit_mono(m))))
+    return apply_alpha(Poly(lincomb(terms)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -467,23 +425,17 @@ class FreeHomAssocQuotient:
 
     def reduce(self, p: Poly) -> Reduction:
         groups: Dict[Tuple[Tuple[str, int], ...], Dict[Monomial, object]] = {}
-        unit_part = ZERO
         for m, c in p.terms.items():
-            if m is UNIT:
-                unit_part = unit_part + c
-                continue
-            self._check_in_bounds(m)
-            groups.setdefault(phi_signature(m), {})[m] = c
-        out: Dict[Monomial, object] = {}
-        if unit_part != 0:
-            out[UNIT] = unit_part
+            if m is not UNIT:
+                self._check_in_bounds(m)
+                groups.setdefault(phi_signature(m), {})[m] = c
+        out = [(UNIT, p.coeff(UNIT))]
         truncated = False
         for sig, terms in groups.items():
             comp = self.component(sig)
             truncated = truncated or comp.truncated
-            for m, c in comp.reduce(terms).items():
-                out[m] = out.get(m, ZERO) + c
-        return Reduction(Poly(out), truncated)
+            out.extend(comp.reduce(terms).items())
+        return Reduction(Poly(collect(out)), truncated)
 
     def nf(self, p: Poly) -> Poly:
         return self.reduce(p).normal_form
@@ -521,8 +473,6 @@ class AntipodeResult:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        from .expr import render_poly
-
         return {
             "word": self.word,
             "status": self.status,
@@ -542,8 +492,6 @@ def check_antipode(
     Default bounds: degree = |u| and exponent = 2|u|, twice the margin the
     worked low-degree computations ever need.
     """
-    from .expr import render_mono
-
     d = degree(m)
     if quotient is None:
         degree_bound = degree_bound if degree_bound is not None else max(d, 1)
@@ -628,10 +576,7 @@ def expand_exponents(p: Poly, basis: Sequence[str], alpha: Matrix) -> Poly:
         args = [mono_poly(a) for a in m.args]
         return apply_op(m.op, args)
 
-    total = Poly.zero()
-    for m, c in p.terms.items():
-        total = total + mono_poly(m).scaled(c)
-    return total
+    return Poly(lincomb((c, mono_poly(m)) for m, c in p.terms.items()))
 
 
 def _vector_poly(v: Vector, basis: Sequence[str]) -> Poly:
@@ -724,11 +669,8 @@ def _substitute(
     A word that repeats a basis letter merges template monomials; their
     coefficients are summed."""
     mapping = {l: basis[i] for l, i in zip(letters, word)}
-    out: Dict[Monomial, object] = {}
-    for m, c in template.terms.items():
-        key = rename_leaves(m, mapping)
-        out[key] = out.get(key, ZERO) + c
-    return expand_exponents(Poly(out), basis, alpha)
+    renamed = collect((rename_leaves(m, mapping), c) for m, c in template.terms.items())
+    return expand_exponents(Poly(renamed), basis, alpha)
 
 
 def u_hom_relations(fam: OpFamily, alpha: Matrix, degree_bound: int) -> List[Poly]:
@@ -819,35 +761,19 @@ def check_counit_laws(monomials: Sequence[Monomial]) -> BialgebraReport:
     """
     report = BialgebraReport(status="pass")
     for m in monomials:
-        dm = delta(m)
-        left = Poly.zero()
-        right = Poly.zero()
-        u_left = Poly.zero()
-        u_right = Poly.zero()
-        for (m1, m2), c in dm.terms.items():
-            left = left + Poly.monomial(m2).scaled(c * counit_mono(m1))
-            right = right + Poly.monomial(m1).scaled(c * counit_mono(m2))
-            if counit_mono(m2) != 0:
-                u_left = u_left + mul(
-                    Poly.monomial(m1), Poly.unit(counit_mono(m2))
-                ).scaled(c)
-            if counit_mono(m1) != 0:
-                u_right = u_right + mul(
-                    Poly.unit(counit_mono(m1)), Poly.monomial(m2)
-                ).scaled(c)
-        me = Poly.monomial(m)
-        scalar_ok = left == me and right == me
-        hom_ok = u_left == apply_alpha(me, 1) and u_right == apply_alpha(me, 1)
-        from .expr import render_mono
-
-        report.note(f"counit[{render_mono(m, top=True)}]", "pass" if scalar_ok and hom_ok else "fail")
+        dm = delta(m).terms.items()
+        left = collect((m2, c * counit_mono(m1)) for (m1, m2), c in dm)
+        right = collect((m1, c * counit_mono(m2)) for (m1, m2), c in dm)
+        u_left = collect((mul_mono(m1, UNIT), c * counit_mono(m2)) for (m1, m2), c in dm)
+        u_right = collect((mul_mono(UNIT, m2), c * counit_mono(m1)) for (m1, m2), c in dm)
+        me, am = {m: ONE}, {alpha_mono(m, 1): ONE}
+        ok = left == me and right == me and u_left == am and u_right == am
+        report.note(f"counit[{render_mono(m, top=True)}]", "pass" if ok else "fail")
     return report
 
 
 def check_cocommutative(monomials: Sequence[Monomial]) -> BialgebraReport:
     report = BialgebraReport(status="pass")
-    from .expr import render_mono
-
     for m in monomials:
         dm = delta(m)
         report.note(
@@ -860,20 +786,16 @@ def check_cocommutative(monomials: Sequence[Monomial]) -> BialgebraReport:
 def check_coassociative(monomials: Sequence[Monomial]) -> BialgebraReport:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on sample monomials."""
     report = BialgebraReport(status="pass")
-    from .expr import render_mono
-
     for m in monomials:
-        left: Dict[Tuple[Monomial, Monomial, Monomial], object] = {}
-        right: Dict[Tuple[Monomial, Monomial, Monomial], object] = {}
-        for (m1, m2), c in delta(m).terms.items():
-            for (m11, m12), c2 in delta(m1).terms.items():
-                key = (m11, m12, m2)
-                left[key] = left.get(key, ZERO) + c * c2
-            for (m21, m22), c2 in delta(m2).terms.items():
-                key = (m1, m21, m22)
-                right[key] = right.get(key, ZERO) + c * c2
-        left = {k: c for k, c in left.items() if c != 0}
-        right = {k: c for k, c in right.items() if c != 0}
+        dm = delta(m).terms.items()
+        left = collect(
+            ((m11, m12, m2), c * c2)
+            for (m1, m2), c in dm for (m11, m12), c2 in delta(m1).terms.items()
+        )
+        right = collect(
+            ((m1, m21, m22), c * c2)
+            for (m1, m2), c in dm for (m21, m22), c2 in delta(m2).terms.items()
+        )
         report.note(
             f"coassoc[{render_mono(m, top=True)}]", "pass" if left == right else "fail"
         )
@@ -893,34 +815,24 @@ def check_ideal_coproduct(
     B (x) I + I (x) B. Coproduct summands carry twisting exponents, which are
     expanded through the matrix before reduction.
     """
+    def image(m: Monomial) -> Dict[Monomial, object]:
+        # m expanded through alpha and reduced; the unit part stays as it is
+        p = expand_exponents(Poly.monomial(m), basis, alpha)
+        nf = quotient.nf(Poly({k: c for k, c in p.terms.items() if k is not UNIT}))
+        return collect([*nf.terms.items(), (UNIT, p.coeff(UNIT))])
+
     report = BialgebraReport(status="pass")
     for pos, r in enumerate(generators):
-        acc: Dict[Tuple[Monomial, Monomial], object] = {}
         try:
-            for (m1, m2), c in delta_poly(r).terms.items():
-                p1 = expand_exponents(Poly.monomial(m1), basis, alpha)
-                p2 = expand_exponents(Poly.monomial(m2), basis, alpha)
-                n1 = quotient.nf(_strip_unit(p1))
-                n2 = quotient.nf(_strip_unit(p2))
-                u1 = p1.coeff(UNIT)
-                u2 = p2.coeff(UNIT)
-                for mm1, c1 in list(n1.terms.items()) + ([(UNIT, u1)] if u1 != 0 else []):
-                    for mm2, c2 in list(n2.terms.items()) + ([(UNIT, u2)] if u2 != 0 else []):
-                        key = (mm1, mm2)
-                        s = acc.get(key, ZERO) + c * c1 * c2
-                        if s == 0:
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = s
+            acc = lincomb(
+                (c, expand([image(m1), image(m2)], lambda a, b: (a, b)))
+                for (m1, m2), c in delta_poly(r).terms.items()
+            )
         except BoundsError:
             report.note(f"ideal_coproduct[{pos}]", "inconclusive")
             continue
         report.note(f"ideal_coproduct[{pos}]", "pass" if not acc else "fail")
     return report
-
-
-def _strip_unit(p: Poly) -> Poly:
-    return Poly({m: c for m, c in p.terms.items() if m is not UNIT})
 
 
 def check_bialgebra(

@@ -30,6 +30,7 @@ from .expr import (
     gen_mono,
     json_key,
     leaves,
+    lincomb,
     poly_from_json,
     poly_to_json,
     unshuffle_pairs,
@@ -173,13 +174,10 @@ def _assoc_ordinary() -> Poly:
 
 
 def _alt_sum(op3, a, b, c) -> Poly:
-    out = Poly.zero()
-    for perm, sign in (
+    return Poly(lincomb((sign, op3(*perm)) for perm, sign in (
         ((a, b, c), 1), ((a, c, b), -1), ((b, a, c), -1),
         ((b, c, a), 1), ((c, a, b), 1), ((c, b, a), -1),
-    ):
-        out = out + op3(*perm).scaled(sign)
-    return out
+    )))
 
 
 def _lts_fundamental() -> Poly:
@@ -338,9 +336,7 @@ def _catalog_builders() -> Dict[str, object]:
         )
 
     def hom_teichmuller():
-        total = Poly.zero()
-        for coeff, term in hom_teichmuller_terms():
-            total = total + term.scaled(coeff)
+        total = Poly(lincomb(hom_teichmuller_terms()))
         return IdentitySystem("hom_teichmuller", _SIG_B, (total,), True)
 
     def jacobi():

@@ -24,16 +24,16 @@ import itertools
 import math
 from typing import Dict
 
-from .expr import MUL, Poly, apply_alpha, mul, unshuffle_pairs
+from .expr import MUL, Poly, apply_alpha, lincomb, mul, unshuffle_pairs
 from .fdalg import (
     AlgebraSpec,
     FdalgError,
     OpFamily,
     Vector,
     is_multiplicative,
-    lincomb,
     tabulate,
     tabulate_poly,
+    witness_str,
 )
 from .rationals import ONE, rat
 
@@ -166,7 +166,7 @@ def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True)
     if check:
         ok, witness = is_multiplicative(spec)
         if not ok:
-            raise FdalgError(f"alpha is not multiplicative; witness {witness}")
+            raise FdalgError(f"alpha is not multiplicative; witness {witness_str(witness)}")
     dim = spec.dim
     solver = NumericQSolver(spec, op)
 

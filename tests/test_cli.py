@@ -293,16 +293,13 @@ def test_qalpha_numeric_wire_format(capsys):
 
 
 def test_twist_witness_message(capsys, tmp_path):
-    from homforge.rationals import rat
-
     path = tmp_path / "twist.json"
     path.write_text(json.dumps([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
     code, out, err = run(
         capsys, "check", "--algebra", "sl2", "--twist", str(path), "--identity", "hom_lie"
     )
     assert code == 2 and not out
-    defect = (rat(-1), rat(0), rat(0))
-    assert err == f"error: beta is not a morphism; witness ('mu', ('x', 'y'), {defect!r})\n"
+    assert err == "error: beta is not a morphism; witness mu at ('x', 'y'): defect ['-1', '0', '0']\n"
 
 
 @pytest.mark.parametrize(
@@ -401,6 +398,55 @@ def test_missing_keys_and_bad_json_are_named(capsys, tmp_path, option, content, 
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named.replace("FILE", str(path)) in err
+
+
+def _sl2_with(key, value):
+    import homforge.fdalg as fdalg
+
+    data = fdalg.builtin_algebra("sl2").to_json()
+    if key == "entries":
+        data["ops"][0]["entries"] = value
+    elif key == "alpha row":
+        data["alpha"][1] = value
+    else:
+        data[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("ops", 3, "'ops'"),
+        ("entries", 5, "'entries'"),
+        ("alpha", 5, "'alpha'"),
+        ("alpha row", 5, "'alpha'"),
+        ("unit", 7, "'unit'"),
+        ("basis", "hxy", "'basis'"),
+        ("basis", ["h", "h", "y"], "'basis'"),
+    ],
+    ids=["ops-int", "entries-int", "alpha-int", "alpha-row-int", "unit-int",
+         "basis-string", "basis-repeated"],
+)
+def test_algebra_json_shapes_are_checked(capsys, tmp_path, key, value, named):
+    """An algebra file whose lists are not lists, or whose basis is not a
+    list of distinct strings, is a usage error naming the file and the key."""
+    path = tmp_path / "algebra.json"
+    path.write_text(_sl2_with(key, value))
+    code, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "lie")
+    assert code == 2 and not out
+    assert err.startswith(f"error: --algebra {path}: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_witness_messages_print_rationals(capsys):
+    code, out, err = run(
+        capsys, "sabinin", "--algebra", "octonions", "--class", "malcev", "--cutoff", "1"
+    )
+    assert code == 2 and not out
+    assert "Fraction(" not in err
+    assert err.startswith("error: algebra does not satisfy the hom_malcev identities; "
+                          "witness hom_malcev[0] at ")
+    assert err.endswith(": defect ['2', '0', '0', '0', '0', '0', '0', '0']\n")
 
 
 def test_domain_errors_exit_two_with_plain_messages(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homforge.expr import (
+    MUL,
     Leaf,
     Node,
     ParseError,
@@ -15,11 +16,14 @@ from homforge.expr import (
     UNIT,
     apply_alpha,
     apply_op,
+    collect,
     gen_mono,
+    lincomb,
     mono_key,
     mul,
     mono_from_json,
     mono_to_json,
+    mul_mono,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -231,3 +235,74 @@ def test_mono_key_matches_four_walk_oracle(ms):
     for m in ms:
         assert mono_key(m) == _four_walk_mono_key(m)
     assert sorted(ms, key=mono_key) == sorted(ms, key=_four_walk_mono_key)
+
+
+# Normal-form monomials (the unit only as a whole monomial) and polynomials
+# over them, for the properties of the sparse-sum kernel and of printing.
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(rat)
+nf_monomials = st.recursive(
+    st.builds(Leaf, st.sampled_from(["x", "y", "A", "T"]), st.integers(0, 2)),
+    lambda kids: st.one_of(
+        st.builds(lambda op, a, b: Node(op, (a, b)), st.sampled_from([MUL, "br"]), kids, kids),
+        st.builds(lambda op, *args: Node(op, args), st.sampled_from([MUL, "T"]), kids, kids, kids),
+    ),
+    max_leaves=5,
+)
+polys = st.dictionaries(
+    st.one_of(st.just(UNIT), nf_monomials), coefficients, max_size=5
+).map(Poly)
+
+
+def _naive_sum(*dicts):
+    """Coefficientwise sum of dicts, zeros dropped: the oracle for the kernel."""
+    out = {}
+    for d in dicts:
+        for k, c in d.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abcd"), coefficients), max_size=12),
+    st.lists(
+        st.tuples(coefficients, st.dictionaries(st.integers(0, 3), coefficients, max_size=4)),
+        max_size=5,
+    ),
+)
+def test_collect_and_lincomb_match_naive_sums(pairs, terms):
+    got = collect(pairs)
+    assert got == _naive_sum(*({k: c} for k, c in pairs))
+    assert all(c != 0 for c in got.values())
+    got = lincomb(terms)
+    assert got == _naive_sum(*({k: c * x for k, x in v.items()} for c, v in terms))
+    assert all(c != 0 for c in got.values())
+    assert lincomb([(rat(1), got), (rat(-1), got)]) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, polys, coefficients)
+def test_poly_arithmetic_matches_naive_dicts(p, q, r, k):
+    assert (p + q).terms == _naive_sum(p.terms, q.terms)
+    assert (p - q).terms == _naive_sum(p.terms, {m: -c for m, c in q.terms.items()})
+    assert p.scaled(k).terms == {m: k * c for m, c in p.terms.items() if k * c != 0}
+    want = {}
+    for a, ca in p.terms.items():
+        for b, cb in q.terms.items():
+            key = mul_mono(a, b, "br")
+            want[key] = want.get(key, 0) + ca * cb
+    assert apply_op("br", [p, q]).terms == {m: c for m, c in want.items() if c != 0}
+    p, q, r = (Poly({m: c for m, c in x.terms.items() if m is not UNIT}) for x in (p, q, r))
+    want = {}
+    for a, ca in p.terms.items():
+        for b, cb in q.terms.items():
+            for c, cc in r.terms.items():
+                key = Node("T", (a, b, c))
+                want[key] = want.get(key, 0) + ca * cb * cc
+    assert apply_op("T", [p, q, r]).terms == {m: c for m, c in want.items() if c != 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys)
+def test_render_parse_roundtrip_on_generated_polys(p):
+    assert parse_poly(render_poly(p)) == p

@@ -4,6 +4,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     all_binary_monomials,
@@ -18,6 +19,7 @@ from homforge.expr import (
     Poly,
     UNIT,
     mul,
+    mul_mono,
     parse_poly,
     render_poly,
 )
@@ -444,6 +446,44 @@ def test_check_bialgebra_umbrella():
     names = [n for n, _ in report.checks]
     assert any(n.startswith("counit") for n in names)
     assert any(n.startswith("ideal_coproduct") for n in names)
+
+
+mu_monomials = st.recursive(
+    st.builds(Leaf, st.sampled_from("xy"), st.integers(0, 2)),
+    lambda kids: st.builds(lambda a, b: Node("mu", (a, b)), kids, kids),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu_monomials)
+def test_partition_algorithm_agrees_on_random_monomials(m):
+    """Both coproduct algorithms agree on binary monomials with twisting
+    exponents and repeated letters."""
+    assert delta_by_partitions(m) == delta(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(mu_monomials, min_size=1, max_size=3),
+    st.lists(mu_monomials, min_size=1, max_size=3),
+    st.sampled_from(["mu", "br"]),
+)
+def test_tensor_product_matches_naive_dicts(ms, ns, op):
+    s, t = delta(ms[0]), delta(ns[0])
+    for m in ms[1:]:
+        s = s + delta(m).scaled(rat(-1, 2))
+    for n in ns[1:]:
+        t = t - delta(n)
+    want = {}
+    for (l1, r1), c1 in s.terms.items():
+        for (l2, r2), c2 in t.terms.items():
+            key = (mul_mono(l1, l2, op), mul_mono(r1, r2, op))
+            want[key] = want.get(key, 0) + c1 * c2
+    got = s.product(t, op)
+    assert got.terms == {k: c for k, c in want.items() if c != 0}
+    for x in (got, s + t, s - t, -s, s.scaled(3), TensorElement.zero()):
+        assert type(x) is TensorElement
 
 
 def test_tensor_element_algebra():
