@@ -290,6 +290,8 @@ class AlgebraSpec:
             name = need(o, "name", "an operation")
             arity = _size_from_json(need(o, "arity", "an operation"), "arity")
             entries = _list_from_json(o.get("entries", []), f"'entries' of {name!r}")
+            if name in ops:
+                raise FdalgError(f"'ops' names the operation {name!r} twice")
             ops[name] = MultilinearOp.from_sparse(name, arity, dim, entries)
         unit = data.get("unit")
         if unit is not None:

@@ -235,6 +235,8 @@ def _leaf_depths(m: Monomial, depth: int = 0) -> List[Tuple[Leaf, int]]:
         return []
     if isinstance(m, Leaf):
         return [(m, depth)]
+    if m.op != MUL:
+        raise SignatureError(f"the quotient has only the product {MUL!r}, not {m.op!r}")
     out: List[Tuple[Leaf, int]] = []
     for a in m.args:
         out.extend(_leaf_depths(a, depth + 1))
@@ -243,14 +245,6 @@ def _leaf_depths(m: Monomial, depth: int = 0) -> List[Tuple[Leaf, int]]:
 
 def phi_signature(m: Monomial) -> Tuple[Tuple[str, int], ...]:
     return tuple(sorted((l.base, l.exp + d) for l, d in _leaf_depths(m)))
-
-
-def _dec_mono(m: Monomial) -> Monomial:
-    return map_leaves(m, lambda l: Leaf(l.base, l.exp - 1))
-
-
-def _min_exp(m: Monomial) -> int:
-    return min(l.exp for l in leaves(m))
 
 
 def _tree_shapes(n: int, _cache={}) -> List:
@@ -292,61 +286,53 @@ class _PhiComponent:
         self.truncated = False
         self.monomials: List[Monomial] = []
         n = len(signature)
-        seen = set()
+        # distinct (shape, permutation) pairs give distinct trees
         for shape in _tree_shapes(n):
             depths = _shape_depths(shape)
             for perm in set(itertools.permutations(signature)):
-                ok = True
                 lvs = []
                 for (base, phi), d in zip(perm, depths):
                     e = phi - d
                     if e < 0:
-                        ok = False
                         break
                     if e > exp_bound:
                         self.truncated = True
-                        ok = False
                         break
                     lvs.append(Leaf(base, e))
-                if not ok:
-                    continue
-                m = _build_from_shape(shape, iter(lvs))
-                if m not in seen:
-                    seen.add(m)
-                    self.monomials.append(m)
+                else:
+                    self.monomials.append(_build_from_shape(shape, iter(lvs)))
         self.monomials.sort(key=mono_key)
         self.space = RowSpace(key=mono_key)
-        self._build_rows(seen)
+        # A rewrite keeps the phi signature and non-negative exponents, so a
+        # target that is not a member is a tree the enumeration met with no
+        # negative exponent and one above the bound: truncated is already set.
+        members = set(self.monomials)
+        for m in self.monomials:
+            for m2 in self._rewrites(m):
+                if m2 in members:
+                    self.space.add({m: ONE, m2: -ONE})
 
     def _rewrites(self, m: Monomial) -> List[Monomial]:
+        """Every alpha(A)(BC) -> (AB)alpha(C) rewrite of one subtree of m.
+
+        The reverse direction is not needed: a relation inside the component
+        joins a member of the form alpha(A)(BC) to one of the form
+        (AB)alpha(C), so rewriting the first finds it."""
         out: List[Monomial] = []
 
         def walk(t: Monomial, rebuild):
             if not isinstance(t, Node):
                 return
             a, b = t.args
-            # alpha(A)(BC) -> (AB) alpha(C)
-            if isinstance(b, Node) and _min_exp(a) >= 1:
+            if isinstance(b, Node) and all(l.exp for l in leaves(a)):
+                dec_a = map_leaves(a, lambda l: Leaf(l.base, l.exp - 1))
                 out.append(
                     rebuild(
                         Node(
                             t.op,
                             (
-                                Node(t.op, (_dec_mono(a), b.args[0])),
+                                Node(t.op, (dec_a, b.args[0])),
                                 alpha_mono(b.args[1], 1),
-                            ),
-                        )
-                    )
-                )
-            # (AB) alpha(C) -> alpha(A)(BC)
-            if isinstance(a, Node) and _min_exp(b) >= 1:
-                out.append(
-                    rebuild(
-                        Node(
-                            t.op,
-                            (
-                                alpha_mono(a.args[0], 1),
-                                Node(t.op, (a.args[1], _dec_mono(b))),
                             ),
                         )
                     )
@@ -356,15 +342,6 @@ class _PhiComponent:
 
         walk(m, lambda s: s)
         return out
-
-    def _build_rows(self, members) -> None:
-        for m in self.monomials:
-            for m2 in self._rewrites(m):
-                if m2 in members:
-                    self.space.add({m: ONE, m2: -ONE})
-                else:
-                    # target exceeds the exponent bound
-                    self.truncated = True
 
     @property
     def rank(self) -> int:
@@ -415,9 +392,10 @@ class FreeHomAssocQuotient:
     def _check_in_bounds(self, m: Monomial) -> None:
         if m is UNIT:
             raise BoundsError("the quotient models the unit-free part")
-        if degree(m) > self.degree_bound:
-            raise BoundsError(f"monomial degree {degree(m)} exceeds bound {self.degree_bound}")
-        for l in leaves(m):
+        lvs = _leaf_depths(m)
+        if len(lvs) > self.degree_bound:
+            raise BoundsError(f"monomial degree {len(lvs)} exceeds bound {self.degree_bound}")
+        for l, _ in lvs:
             if l.base not in self.generators:
                 raise BoundsError(f"unknown generator {l.base!r}")
             if l.exp > self.exp_bound:
@@ -502,19 +480,8 @@ def check_antipode(
     try:
         red = quotient.reduce(defect)
     except BoundsError:
-        return AntipodeResult(
-            render_mono(m, top=True),
-            "inconclusive",
-            quotient.degree_bound,
-            quotient.exp_bound,
-            defect,
-        )
-    if red.is_zero():
-        status = "pass"
-    elif red.truncated:
-        status = "inconclusive"
-    else:
-        status = "fail"
+        red = Reduction(defect, truncated=True)
+    status = {"zero": "pass", "nonzero": "fail", "inconclusive": "inconclusive"}[red.status]
     return AntipodeResult(
         render_mono(m, top=True),
         status,

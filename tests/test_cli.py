@@ -408,6 +408,8 @@ def _sl2_with(key, value):
         data["ops"][0]["entries"] = value
     elif key == "alpha row":
         data["alpha"][1] = value
+    elif key == "extra op":
+        data["ops"].append(value)
     else:
         data[key] = value
     return json.dumps(data)
@@ -423,13 +425,15 @@ def _sl2_with(key, value):
         ("unit", 7, "'unit'"),
         ("basis", "hxy", "'basis'"),
         ("basis", ["h", "h", "y"], "'basis'"),
+        ("extra op", {"name": "mu", "arity": 2, "entries": []}, "'mu' twice"),
     ],
     ids=["ops-int", "entries-int", "alpha-int", "alpha-row-int", "unit-int",
-         "basis-string", "basis-repeated"],
+         "basis-string", "basis-repeated", "ops-repeated"],
 )
 def test_algebra_json_shapes_are_checked(capsys, tmp_path, key, value, named):
-    """An algebra file whose lists are not lists, or whose basis is not a
-    list of distinct strings, is a usage error naming the file and the key."""
+    """An algebra file whose lists are not lists, whose basis is not a list
+    of distinct strings, or whose ops repeat a name, is a usage error naming
+    the file and the key."""
     path = tmp_path / "algebra.json"
     path.write_text(_sl2_with(key, value))
     code, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "lie")
@@ -453,10 +457,18 @@ def test_domain_errors_exit_two_with_plain_messages(capsys):
     code, out, err = run(capsys, "check", "--algebra", "sl2", "--identity", "no_such")
     assert code == 2 and not out
     assert err.startswith("error: unknown identity system 'no_such'")  # not quoted
-    for argv in (["coproduct", "--expr", "T(a,b,c)"], ["antipode", "--word", "T(a,b,c)"]):
+    for argv, named in (
+        (["coproduct", "--expr", "T(a,b,c)"], "binary products only"),
+        (["antipode", "--word", "T(a,b,c)"], "binary products only"),
+        # the quotient has only the product mu: a br word is refused, not refuted
+        (["antipode", "--word", "br(a,b)"], "only the product 'mu', not 'br'"),
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
-        assert err.startswith("error: ") and "binary products only" in err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+    # the coproduct is defined for any binary product
+    assert run(capsys, "coproduct", "--expr", "br(a,b)")[0] == 0
+    assert run(capsys, "primitive", "--expr", "br(a,b)-br(b,a)")[0] == 0
 
 
 def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):

@@ -17,7 +17,12 @@ from homforge.expr import (
     Leaf,
     Node,
     Poly,
+    SignatureError,
     UNIT,
+    alpha_mono,
+    leaves,
+    map_leaves,
+    mono_key,
     mul,
     mul_mono,
     parse_poly,
@@ -25,7 +30,11 @@ from homforge.expr import (
 )
 from homforge.fdalg import builtin_algebra, hom_version, sabinin_from, zero_matrix
 from homforge.hombialg import (
+    _PhiComponent,
+    _build_from_shape,
+    _shape_depths,
     _substitute,
+    _tree_shapes,
     BoundsError,
     FreeHomAssocQuotient,
     TensorElement,
@@ -50,6 +59,7 @@ from homforge.hombialg import (
     u_hom_relations,
 )
 from homforge.homify import hom_associator, homify_identity
+from homforge.linalg import RowSpace
 from homforge.qops import QSolver, yiii_hom
 from homforge.rationals import rat
 
@@ -205,8 +215,74 @@ def test_antipode_exhaustive_degree_three():
             assert res.ok, m
 
 
+def _dec(m):
+    return map_leaves(m, lambda l: Leaf(l.base, l.exp - 1))
+
+
+def _two_way_rewrites(m):
+    """Every rewrite of one subtree of m by Hom-associativity, in both
+    directions: alpha(A)(BC) -> (AB)alpha(C) and (AB)alpha(C) -> alpha(A)(BC)."""
+    if isinstance(m, Leaf):
+        return []
+    a, b = m.args
+    out = []
+    if isinstance(b, Node) and min(l.exp for l in leaves(a)) >= 1:
+        out.append(Node(m.op, (Node(m.op, (_dec(a), b.args[0])),
+                               alpha_mono(b.args[1], 1))))
+    if isinstance(a, Node) and min(l.exp for l in leaves(b)) >= 1:
+        out.append(Node(m.op, (alpha_mono(a.args[0], 1),
+                               Node(m.op, (a.args[1], _dec(b))))))
+    out += [Node(m.op, (s, b)) for s in _two_way_rewrites(a)]
+    out += [Node(m.op, (a, s)) for s in _two_way_rewrites(b)]
+    return out
+
+
+def _two_way_component(signature, exp_bound):
+    """A reference component: rows for the rewrites in both directions,
+    truncated when the enumeration or a rewrite target leaves the exponent
+    bound. The enumeration checks a tree's leaves in order and the first one
+    out of range decides, as _PhiComponent's does."""
+    members, truncated = set(), False
+    for shape in _tree_shapes(len(signature)):
+        depths = _shape_depths(shape)
+        for perm in set(itertools.permutations(signature)):
+            exps = [phi - d for (_, phi), d in zip(perm, depths)]
+            bad = next((e for e in exps if not 0 <= e <= exp_bound), None)
+            if bad is None:
+                lvs = (Leaf(base, e) for (base, _), e in zip(perm, exps))
+                members.add(_build_from_shape(shape, lvs))
+            truncated = truncated or (bad is not None and bad > exp_bound)
+    space = RowSpace(key=mono_key)
+    for m in members:
+        for m2 in _two_way_rewrites(m):
+            if m2 in members:
+                space.add({m: rat(1), m2: rat(-1)})
+            else:
+                truncated = True
+    return members, space, truncated
+
+
+def test_component_matches_two_way_rewrites():
+    """Rewriting in one direction, with truncation taken from the enumeration
+    alone, gives the same monomials, row space and truncated flag as both
+    directions with out-of-bounds targets marking truncation."""
+    words = [m for d in range(1, 5)
+             for m in FreeHomAssocQuotient(("a", "b", "c"), d, 1).monomials_of_degree(d)]
+    words += FreeHomAssocQuotient(("a", "b"), 5, 1).monomials_of_degree(5)
+    signatures = {phi_signature(m) for m in words}
+    assert len(signatures) > 1000
+    for exp_bound in (1, 2, 3, 6):
+        for sig in signatures:
+            comp = _PhiComponent(sig, exp_bound)
+            members, space, truncated = _two_way_component(sig, exp_bound)
+            assert set(comp.monomials) == members and len(comp.monomials) == len(members)
+            assert (comp.rank, comp.truncated) == (space.rank, truncated), sig
+            assert all(not space.reduce(row) for row in comp.space.rows.values()), sig
+            assert all(not comp.reduce(row) for row in space.rows.values()), sig
+
+
 def _rewrite_classes(comp):
-    """Classes of the component's monomials under its Hom-associativity
+    """Classes of the component's monomials under Hom-associativity
     rewrites, by union-find over the edges that stay inside the component."""
     members = set(comp.monomials)
     parent = {m: m for m in members}
@@ -218,7 +294,7 @@ def _rewrite_classes(comp):
         return m
 
     for m in comp.monomials:
-        for m2 in comp._rewrites(m):
+        for m2 in _two_way_rewrites(m):
             if m2 in members:
                 parent[find(m)] = find(m2)
     return len({find(m) for m in members})
@@ -290,6 +366,12 @@ def test_quotient_bounds_errors():
         q.nf(parse_poly("A^2(x)"))
     with pytest.raises(BoundsError):
         q.nf(parse_poly("q"))
+    # the quotient has only the product mu: another product is refused, not
+    # left standing as a nonzero normal form
+    with pytest.raises(SignatureError, match="only the product 'mu', not 'br'"):
+        FreeHomAssocQuotient(("a", "b"), 2, 2).nf(parse_poly("br(a,b)"))
+    with pytest.raises(SignatureError):
+        check_antipode(mono("br(a,b)"))
 
 
 def test_alpha_injectivity_probe():
