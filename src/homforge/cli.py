@@ -125,7 +125,7 @@ def cmd_homify(args) -> int:
         raise HomifyError(
             f"{system.name} already carries twisting exponents; pick the ordinary form"
         )
-    twisted = [homify_identity(p, system.signature) for p in system.identities]
+    twisted = [homify_identity(p) for p in system.identities]
     human = [f"{system.name}:"] + [f"  {render_poly(p)} = 0" for p in twisted]
     return _emit(
         args,

@@ -316,17 +316,13 @@ class Poly:
         return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
 
 
-def apply_op(op: str, args: Sequence[Poly], signature: Optional[Signature] = None) -> Poly:
+def apply_op(op: str, args: Sequence[Poly]) -> Poly:
     """Apply an operation symbol multilinearly to polynomial arguments.
 
     For binary ops the unit is absorbed via mu(u(1), x) = mu(x, u(1)) = alpha(x).
     Unit arguments to higher-arity ops are rejected: the unitary axiom only
     speaks about the binary product.
     """
-    if signature is not None:
-        want = signature.arity(op)
-        if want != len(args):
-            raise SignatureError(f"{op!r} has arity {want}, got {len(args)} arguments")
     if len(args) < 2:
         raise SignatureError("operations have arity >= 2")
     if len(args) == 2:

@@ -232,13 +232,17 @@ class AlgebraSpec:
             raise FdalgError(f"unknown basis element {name!r}; basis: {list(self.basis)}")
         return self.basis.index(name)
 
-    def apply_alpha_vec(self, v: Vector, k: int = 1) -> Vector:
-        if k == 0:
-            return v
+    def alpha_columns(self, k: int) -> List[Vector]:
+        """The columns of alpha^k; each power is computed once per spec."""
         cols = self._alpha_cols
         while len(cols) <= k:
             cols.append([apply_linear(cols[1], c) for c in cols[-1]])
-        return apply_linear(cols[k], v)
+        return cols[k]
+
+    def apply_alpha_vec(self, v: Vector, k: int = 1) -> Vector:
+        if k == 0:
+            return v
+        return apply_linear(self.alpha_columns(k), v)
 
     def with_alpha(self, alpha: Matrix, name: Optional[str] = None) -> "AlgebraSpec":
         return AlgebraSpec(

@@ -14,6 +14,7 @@ component is reported as inconclusive, never as a refutation.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -27,7 +28,6 @@ from .expr import (
     UNIT,
     alpha_mono,
     apply_alpha,
-    apply_op,
     collect,
     degree,
     expand,
@@ -277,6 +277,17 @@ def _build_from_shape(shape, leaves_iter) -> Monomial:
     )
 
 
+def _monomials(generators: Sequence[str], n: int, exp_bound: int) -> List[Monomial]:
+    """Every binary-product monomial of degree n over the generators with
+    leaf exponents <= exp_bound, by shape, then letters, then exponents."""
+    out = []
+    for shape in _tree_shapes(n):
+        for bases in itertools.product(generators, repeat=n):
+            for exps in itertools.product(range(exp_bound + 1), repeat=n):
+                out.append(_build_from_shape(shape, map(Leaf, bases, exps)))
+    return out
+
+
 class _PhiComponent:
     """One (generator, exp + depth) multiset component of the quotient."""
 
@@ -294,13 +305,14 @@ class _PhiComponent:
                 for (base, phi), d in zip(perm, depths):
                     e = phi - d
                     if e < 0:
-                        break
-                    if e > exp_bound:
-                        self.truncated = True
-                        break
+                        break  # no tree: a later leaf cannot make this one
                     lvs.append(Leaf(base, e))
                 else:
-                    self.monomials.append(_build_from_shape(shape, iter(lvs)))
+                    # a whole tree; only one above the bound truncates
+                    if any(l.exp > exp_bound for l in lvs):
+                        self.truncated = True
+                    else:
+                        self.monomials.append(_build_from_shape(shape, iter(lvs)))
         self.monomials.sort(key=mono_key)
         self.space = RowSpace(key=mono_key)
         # A rewrite keeps the phi signature and non-negative exponents, so a
@@ -419,13 +431,7 @@ class FreeHomAssocQuotient:
         return self.reduce(p).normal_form
 
     def monomials_of_degree(self, n: int) -> List[Monomial]:
-        out = []
-        for shape in _tree_shapes(n):
-            for bases in itertools.product(self.generators, repeat=n):
-                for exps in itertools.product(range(self.exp_bound + 1), repeat=n):
-                    lvs = [Leaf(b, e) for b, e in zip(bases, exps)]
-                    out.append(_build_from_shape(shape, iter(lvs)))
-        return out
+        return _monomials(self.generators, n, self.exp_bound)
 
     def degree_report(self, n: int) -> Tuple[int, int]:
         """(quotient dimension, relation rank) of the degree-n piece."""
@@ -525,25 +531,29 @@ def alpha_injectivity_probe(
 
 
 def expand_exponents(p: Poly, basis: Sequence[str], alpha: Matrix) -> Poly:
-    """Rewrite decorated leaves through the matrix: a^k(e_i) expands linearly."""
-    helper = AlgebraSpec(len(basis), basis, {}, matrix(alpha))
+    """Rewrite decorated leaves through the matrix: a^k(e_i) expands linearly.
+
+    A monomial expands as one product of its leaves' combinations, rebuilt on
+    its own tree: A^k(e_i) is column i of alpha^k, an undecorated leaf stays."""
+    spec = AlgebraSpec(len(basis), basis, {}, matrix(alpha))
     index = {b: i for i, b in enumerate(basis)}
 
-    def leaf_poly(l: Leaf) -> Poly:
+    def leaf_terms(l: Leaf) -> Dict[Monomial, object]:
         if l.exp == 0:
-            return Poly.monomial(l)
-        v = helper.apply_alpha_vec(helper.basis_vector(index[l.base]), l.exp)
-        return _vector_poly(v, basis)
+            return {l: ONE}
+        return _vector_poly(spec.alpha_columns(l.exp)[index[l.base]], basis).terms
 
-    def mono_poly(m: Monomial) -> Poly:
+    def mono_terms(m: Monomial) -> Dict[Monomial, object]:
         if m is UNIT:
-            return Poly.unit()
-        if isinstance(m, Leaf):
-            return leaf_poly(m)
-        args = [mono_poly(a) for a in m.args]
-        return apply_op(m.op, args)
+            return {UNIT: ONE}
 
-    return Poly(lincomb((c, mono_poly(m)) for m, c in p.terms.items()))
+        def rebuild(*chosen: Leaf) -> Monomial:
+            it = iter(chosen)
+            return map_leaves(m, lambda _: next(it))
+
+        return expand([leaf_terms(l) for l in leaves(m)], rebuild)
+
+    return Poly(lincomb((c, mono_terms(m)) for m, c in p.terms.items()))
 
 
 def _vector_poly(v: Vector, basis: Sequence[str]) -> Poly:
@@ -561,18 +571,14 @@ class FilteredQuotient:
     def __init__(self, basis: Sequence[str], relations: Sequence[Poly], degree_bound: int):
         self.basis = tuple(basis)
         self.degree_bound = degree_bound
-        self._monos: Dict[int, List[Monomial]] = {}
-        for n in range(1, degree_bound + 1):
-            out = []
-            for shape in _tree_shapes(n):
-                for bases in itertools.product(self.basis, repeat=n):
-                    lvs = [Leaf(b, 0) for b in bases]
-                    out.append(_build_from_shape(shape, iter(lvs)))
-            self._monos[n] = out
+        self._monos = {n: _monomials(self.basis, n, 0) for n in range(1, degree_bound + 1)}
         rows = self._closure([r for r in relations if not r.is_zero()])
         self.space = RowSpace(key=mono_key)
         for r in rows:
             self.space.add(dict(r.terms))
+        # pivots per degree; the degree-dominant order makes the ones in
+        # degree k the relation rank there
+        self._ranks = Counter(degree(piv) for piv in self.space.rows)
 
     def _closure(self, relations: Sequence[Poly]) -> List[Poly]:
         seen = set()
@@ -602,30 +608,19 @@ class FilteredQuotient:
                 raise BoundsError("element exceeds the degree bound")
         return Poly(self.space.reduce(dict(p.terms)))
 
+    def _graded_dim(self, k: int) -> int:
+        return len(self._monos[k]) - self._ranks[k]
+
     def filtration_dim(self, k: int) -> int:
-        total = sum(len(self._monos[n]) for n in range(1, k + 1))
-        cut = sum(1 for piv in self.space.pivots() if degree(piv) <= k)
-        return total - cut
+        return sum(self._graded_dim(n) for n in range(1, k + 1))
 
     def graded_dims(self, max_degree: Optional[int] = None) -> Dict[int, int]:
         top = max_degree or self.degree_bound
-        dims = {}
-        prev = 0
-        for k in range(1, top + 1):
-            cur = self.filtration_dim(k)
-            dims[k] = cur - prev
-            prev = cur
-        return dims
+        return {k: self._graded_dim(k) for k in range(1, top + 1)}
 
     def report(self, degrees: Optional[Iterable[int]] = None) -> Dict[int, Tuple[int, int]]:
         degs = list(degrees) if degrees is not None else list(range(1, self.degree_bound + 1))
-        graded = self.graded_dims(max(degs))
-        ranks = {k: 0 for k in degs}
-        for piv in self.space.pivots():
-            d = degree(piv)
-            if d in ranks:
-                ranks[d] += 1
-        return {k: (graded[k], ranks[k]) for k in degs}
+        return {k: (self._graded_dim(k), self._ranks[k]) for k in degs}
 
 
 def _substitute(

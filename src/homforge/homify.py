@@ -23,6 +23,7 @@ from .expr import (
     Node,
     Poly,
     Signature,
+    SignatureError,
     UNIT,
     Word,
     apply_alpha,
@@ -51,7 +52,7 @@ def _internal_nodes(m: Monomial) -> List[Node]:
     return out
 
 
-def homify_monomial(m: Monomial, signature: Optional[Signature] = None) -> Monomial:
+def homify_monomial(m: Monomial) -> Monomial:
     """Decorate the leaves of an undecorated monomial with twisting exponents.
 
     A leaf receives alpha^(a-1) for every internal node of arity a it is not
@@ -73,7 +74,7 @@ def homify_monomial(m: Monomial, signature: Optional[Signature] = None) -> Monom
     return rec(m, 0)
 
 
-def homify_identity(p: Poly, signature: Optional[Signature] = None) -> Poly:
+def homify_identity(p: Poly) -> Poly:
     """Twist a multilinear homogeneous identity monomial by monomial."""
     varsets = []
     for m in p.terms:
@@ -85,7 +86,7 @@ def homify_identity(p: Poly, signature: Optional[Signature] = None) -> Poly:
         raise HomifyError("variables differ across monomials; identity not homogeneous")
     out: Dict[Monomial, object] = {}
     for m, c in p.terms.items():
-        out[homify_monomial(m, signature)] = c
+        out[homify_monomial(m)] = c
     return Poly(out)
 
 
@@ -371,7 +372,7 @@ def _homified(ordinary: IdentitySystem) -> IdentitySystem:
     return IdentitySystem(
         f"hom_{ordinary.name}",
         ordinary.signature,
-        tuple(homify_identity(p, ordinary.signature) for p in ordinary.identities),
+        tuple(homify_identity(p) for p in ordinary.identities),
         True,
     )
 
@@ -564,6 +565,8 @@ def identity_system_to_json(system: IdentitySystem) -> dict:
 
 
 def identity_system_from_json(data: dict) -> IdentitySystem:
+    """An identity system from its JSON form. Every tree must use the ops of
+    the declared signature with their arities, or SignatureError is raised."""
     sig = Signature.from_json(json_key(data, "signature", HomifyError, "identity JSON"))
     if "identities" in data:
         polys = tuple(
@@ -572,14 +575,15 @@ def identity_system_from_json(data: dict) -> IdentitySystem:
         )
     else:
         polys = (poly_from_json(json_key(data, "terms", HomifyError, "identity JSON")),)
+    for p in polys:
+        for m in p.terms:
+            for nd in _internal_nodes(m):
+                arity = sig.arity(nd.op)
+                if arity != len(nd.args):
+                    raise SignatureError(f"{nd.op!r} has arity {arity}, got {len(nd.args)} arguments")
     return IdentitySystem(
         data.get("name", "anonymous"), sig, polys, bool(data.get("hom_form", False))
     )
-
-
-def load_identity_file(path: str) -> IdentitySystem:
-    with open(path) as fh:
-        return identity_system_from_json(json.load(fh))
 
 
 def save_identity_file(system: IdentitySystem, path: str) -> None:

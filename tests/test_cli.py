@@ -237,6 +237,29 @@ def test_check_rejects_malformed_identity_file(capsys, tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
+    "tree, named",
+    [
+        (["mu", {"var": "x"}, {"var": "y"}, {"var": "z"}], "'mu' has arity 2, got 3 arguments"),
+        (["br", {"var": "x"}, {"var": "y"}], "unknown operation symbol 'br'"),
+    ],
+    ids=["wrong-arity", "unknown-op"],
+)
+def test_identity_trees_must_match_their_signature(capsys, tmp_path, tree, named):
+    """An identity file whose tree uses an op with the wrong arity, or one
+    its signature does not declare, is a usage error."""
+    data = {
+        "signature": {"ops": [{"name": "mu", "arity": 2}]},
+        "terms": [{"coeff": "1", "tree": tree}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homify", "--identity", str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: --identity {path}: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize(
     "argv, named",
     [
         (["check", "--algebra", "sl2", "--identity", "lie", "--jobs", "0"], "--jobs"),

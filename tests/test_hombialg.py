@@ -20,6 +20,7 @@ from homforge.expr import (
     SignatureError,
     UNIT,
     alpha_mono,
+    apply_op,
     leaves,
     map_leaves,
     mono_key,
@@ -240,18 +241,18 @@ def _two_way_rewrites(m):
 def _two_way_component(signature, exp_bound):
     """A reference component: rows for the rewrites in both directions,
     truncated when the enumeration or a rewrite target leaves the exponent
-    bound. The enumeration checks a tree's leaves in order and the first one
-    out of range decides, as _PhiComponent's does."""
+    bound. The enumeration meets a tree above the bound only when none of
+    its exponents is negative: a negative one means there is no tree."""
     members, truncated = set(), False
     for shape in _tree_shapes(len(signature)):
         depths = _shape_depths(shape)
         for perm in set(itertools.permutations(signature)):
             exps = [phi - d for (_, phi), d in zip(perm, depths)]
-            bad = next((e for e in exps if not 0 <= e <= exp_bound), None)
-            if bad is None:
+            if all(0 <= e <= exp_bound for e in exps):
                 lvs = (Leaf(base, e) for (base, _), e in zip(perm, exps))
                 members.add(_build_from_shape(shape, lvs))
-            truncated = truncated or (bad is not None and bad > exp_bound)
+            elif min(exps) >= 0:
+                truncated = True
     space = RowSpace(key=mono_key)
     for m in members:
         for m2 in _two_way_rewrites(m):
@@ -327,6 +328,17 @@ def test_quotient_rank_matches_union_find():
         assert comp.rank == len(comp.monomials) - _rewrite_classes(comp), comp.signature
 
 
+def test_truncation_needs_a_tree_above_the_bound():
+    """A (shape, permutation) pair with a negative exponent on any leaf is
+    no tree, so it cannot truncate its component, whichever leaf is met first."""
+    m = mono("((A^1(a)*b)*c)")
+    comp = _PhiComponent(phi_signature(m), 1)
+    assert (len(comp.monomials), comp.rank, comp.truncated) == (4, 0, False)
+    assert FreeHomAssocQuotient(("a", "b", "c"), 3, 1).reduce(Poly.monomial(m)).status == "nonzero"
+    abc = Poly.monomial(mono("((a*b)*c)"))
+    assert FreeHomAssocQuotient(("a", "b", "c"), 3, 0).reduce(abc).status == "nonzero"
+
+
 def test_antipode_degree_six_repeated_word():
     assert check_antipode(mono("((a*b)*(a*b))*(a*b)")).status == "pass"
 
@@ -377,10 +389,9 @@ def test_quotient_bounds_errors():
 def test_alpha_injectivity_probe():
     report = alpha_injectivity_probe(("x", "y"), 3, 2)
     assert report == {1: "pass", 2: "pass", 3: "pass"}
-    # the one kernel vector of degree 4 that does not reduce lies in a
-    # truncated component: the section is undecided, not failed
-    assert alpha_injectivity_probe(("x",), 4, 1)[4] == "inconclusive"
-    # with one more exponent, a non-reducing vector sits in an untruncated one
+    # the kernel vector of degree 4 that does not reduce lies in a component
+    # with no tree above the exponent bound, so the section fails
+    assert alpha_injectivity_probe(("x",), 4, 1)[4] == "fail"
     assert alpha_injectivity_probe(("x",), 4, 2)[4] == "fail"
 
 
@@ -501,6 +512,70 @@ def test_substitution_sums_colliding_monomials():
     assert len(template.terms) == 6
     got = _substitute(template, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2), spec.basis, spec.alpha)
     assert got == expand_exponents(s.q(("h", "h"), ("x",), "y"), spec.basis, spec.alpha)
+
+
+def _expand_node_by_node(p, basis, alpha):
+    """The former expand_exponents: a polynomial at every tree node,
+    multiplied again with apply_op at each internal node, and alpha^k(e_i)
+    by k dense matrix-vector products."""
+    index = {b: i for i, b in enumerate(basis)}
+
+    def leaf_poly(l):
+        if l.exp == 0:
+            return Poly.monomial(l)
+        v = [rat(int(i == index[l.base])) for i in range(len(basis))]
+        for _ in range(l.exp):
+            v = [sum((alpha[i][j] * v[j] for j in range(len(v))), rat(0)) for i in range(len(v))]
+        return Poly({Leaf(basis[i], 0): c for i, c in enumerate(v)})
+
+    def mono_poly(m):
+        if m is UNIT:
+            return Poly.unit()
+        if isinstance(m, Leaf):
+            return leaf_poly(m)
+        return apply_op(m.op, [mono_poly(a) for a in m.args])
+
+    out = Poly()
+    for m, c in p.terms.items():
+        out = out + mono_poly(m).scaled(c)
+    return out
+
+
+@st.composite
+def _expansion_cases(draw):
+    """(polynomial, basis, alpha): 2-3 basis letters, exponents 0-3, binary
+    mu trees with an occasional ternary root, the unit, an undecorated leaf
+    outside the basis, and random, singular or zero alpha."""
+    basis = ("p", "q", "r")[: draw(st.integers(2, 3))]
+    n = len(basis)
+    leaf = st.one_of(
+        st.builds(Leaf, st.sampled_from(basis), st.integers(0, 3)), st.just(Leaf("z", 0))
+    )
+    tree = st.recursive(
+        leaf, lambda kids: st.builds(lambda a, b: Node("mu", (a, b)), kids, kids), max_leaves=3
+    )
+    ternary = st.builds(lambda a, b, c: Node("T", (a, b, c)), tree, tree, tree)
+    mono_st = st.one_of(tree, tree, ternary, st.just(UNIT))
+    coeff = st.builds(rat, st.integers(-3, 3), st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(mono_st, coeff), min_size=1, max_size=3))
+    entry = st.builds(rat, st.integers(-2, 2), st.integers(1, 2))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    # a repeated row makes alpha singular
+    singular = square.map(lambda rows: [rows[0]] + rows[:-1])
+    alpha = draw(st.one_of(square, singular, st.just([[rat(0)] * n for _ in range(n)])))
+    p = Poly({})
+    for m, c in terms:
+        p = p + Poly.monomial(m, c)
+    return p, basis, alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expansion_cases())
+def test_expand_exponents_matches_node_by_node_expansion(case):
+    """One product of the leaves' alpha-columns per monomial equals the
+    node-by-node expansion."""
+    p, basis, alpha = case
+    assert expand_exponents(p, basis, alpha) == _expand_node_by_node(p, basis, alpha)
 
 
 def test_ideal_coproduct_membership_alpha_zero():
