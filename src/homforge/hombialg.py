@@ -41,7 +41,7 @@ from .expr import (
     render_mono,
     render_poly,
 )
-from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector, matrix
+from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector
 from .linalg import RowSpace, kernel
 from .qops import QSolver
 from .rationals import ONE, ZERO, rat, rat_str
@@ -530,18 +530,18 @@ def alpha_injectivity_probe(
 # Universal enveloping Hom-algebras (truncated)
 
 
-def expand_exponents(p: Poly, basis: Sequence[str], alpha: Matrix) -> Poly:
-    """Rewrite decorated leaves through the matrix: a^k(e_i) expands linearly.
+def expand_exponents(p: Poly, spec: AlgebraSpec) -> Poly:
+    """Rewrite decorated leaves through spec.alpha: a^k(e_i) expands linearly.
 
     A monomial expands as one product of its leaves' combinations, rebuilt on
-    its own tree: A^k(e_i) is column i of alpha^k, an undecorated leaf stays."""
-    spec = AlgebraSpec(len(basis), basis, {}, matrix(alpha))
-    index = {b: i for i, b in enumerate(basis)}
+    its own tree: A^k(e_i) is column i of alpha^k, an undecorated leaf stays.
+    spec computes each alpha power once, so callers expanding many
+    polynomials over one basis and alpha share one spec."""
 
     def leaf_terms(l: Leaf) -> Dict[Monomial, object]:
         if l.exp == 0:
             return {l: ONE}
-        return _vector_poly(spec.alpha_columns(l.exp)[index[l.base]], basis).terms
+        return _vector_poly(spec.alpha_columns(l.exp)[spec.basis_index(l.base)], spec.basis).terms
 
     def mono_terms(m: Monomial) -> Dict[Monomial, object]:
         if m is UNIT:
@@ -624,15 +624,16 @@ class FilteredQuotient:
 
 
 def _substitute(
-    template: Poly, letters: Sequence[str], word: Sequence[int], basis: Sequence[str], alpha: Matrix
+    template: Poly, letters: Sequence[str], word: Sequence[int], spec: AlgebraSpec
 ) -> Poly:
-    """template with letters[i] -> basis[word[i]], expanded through alpha.
+    """template with letters[i] -> spec.basis[word[i]], expanded through
+    spec.alpha.
 
     A word that repeats a basis letter merges template monomials; their
     coefficients are summed."""
-    mapping = {l: basis[i] for l, i in zip(letters, word)}
+    mapping = {l: spec.basis[i] for l, i in zip(letters, word)}
     renamed = collect((rename_leaves(m, mapping), c) for m, c in template.terms.items())
-    return expand_exponents(Poly(renamed), basis, alpha)
+    return expand_exponents(Poly(renamed), spec)
 
 
 def u_hom_relations(fam: OpFamily, alpha: Matrix, degree_bound: int) -> List[Poly]:
@@ -645,13 +646,14 @@ def u_hom_relations(fam: OpFamily, alpha: Matrix, degree_bound: int) -> List[Pol
     letters, with the basis letters substituted.
     """
     basis, dim = fam.basis, fam.dim
+    spec = AlgebraSpec(dim, basis, {}, alpha)  # one alpha-power cache for every instance
     solver = QSolver()
     relations: List[Poly] = []
 
     def relate(op, template: Poly, letters: Sequence[str], indices) -> None:
         for idx in indices:
             value = _vector_poly(op.basis_value(idx), basis)
-            r = value - _substitute(template, letters, idx, basis, alpha)
+            r = value - _substitute(template, letters, idx, spec)
             if not r.is_zero():
                 relations.append(r)
 
@@ -777,9 +779,11 @@ def check_ideal_coproduct(
     B (x) I + I (x) B. Coproduct summands carry twisting exponents, which are
     expanded through the matrix before reduction.
     """
+    spec = AlgebraSpec(len(basis), basis, {}, alpha)
+
     def image(m: Monomial) -> Dict[Monomial, object]:
         # m expanded through alpha and reduced; the unit part stays as it is
-        p = expand_exponents(Poly.monomial(m), basis, alpha)
+        p = expand_exponents(Poly.monomial(m), spec)
         nf = quotient.nf(Poly({k: c for k, c in p.terms.items() if k is not UNIT}))
         return collect([*nf.terms.items(), (UNIT, p.coeff(UNIT))])
 

@@ -3,14 +3,16 @@
 Rows are dicts mapping arbitrary hashable column keys to rational
 coefficients. A RowSpace keeps an echelonized basis (one pivot per row,
 pivots eliminated everywhere else), which is all the kernel/membership
-machinery the bounded quotients need.
+machinery the bounded quotients need. Every coefficient it stores or
+returns is normalized by rat(): an integral one is an int, so integral
+rows (binomial relations above all) stay on int arithmetic.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from .rationals import ONE, ZERO
+from .rationals import inverse, rat
 
 Row = Dict[Hashable, object]
 
@@ -39,15 +41,15 @@ class RowSpace:
         subtracting it brings in no pivot and changes no other pivot's
         coefficient.
         """
-        out = {k: c for k, c in row.items() if c != 0}
+        out = {k: rat(c) for k, c in row.items() if c != 0}
         for piv in [k for k in out if k in self.rows]:
             c = out[piv]
             for k, bc in self.rows[piv].items():
-                s = out.get(k, ZERO) - c * bc
+                s = out.get(k, 0) - c * bc
                 if s == 0:
                     out.pop(k, None)
                 else:
-                    out[k] = s
+                    out[k] = s if type(s) is int else rat(s)
         return out
 
     def add(self, row: Row) -> Row:
@@ -56,8 +58,14 @@ class RowSpace:
         if not res:
             return res
         piv = max(res, key=self.key) if self.key else max(res)
-        inv = ONE / res[piv]
-        norm = {k: c * inv for k, c in res.items()}
+        p = res[piv]
+        if p == 1:
+            norm = dict(res)
+        elif p == -1:
+            norm = {k: -c for k, c in res.items()}
+        else:
+            inv = inverse(p)
+            norm = {k: rat(c * inv) for k, c in res.items()}
         holders = self._holders
         touched = holders.pop(piv, ())
         for k in norm:
@@ -69,7 +77,7 @@ class RowSpace:
             other = self.rows[other_piv]
             c = other[piv]
             for k, bc in norm.items():
-                s = other.get(k, ZERO) - c * bc
+                s = other.get(k, 0) - c * bc
                 if s == 0:
                     del other[k]
                     if k != piv:
@@ -77,7 +85,7 @@ class RowSpace:
                 else:
                     if k not in other:
                         holders[k].add(other_piv)
-                    other[k] = s
+                    other[k] = s if type(s) is int else rat(s)
         self.rows[piv] = norm
         return res
 
@@ -113,10 +121,10 @@ def kernel(
     n = len(vectors)
     for i, v in enumerate(vectors):
         row = dict(v)
-        row[(aux, i)] = ONE
+        row[(aux, i)] = 1
         res = space.add(row)
         if res and all(isinstance(k, tuple) and len(k) == 2 and k[0] is aux for k in res):
-            coeffs = [ZERO] * n
+            coeffs = [0] * n
             for k, c in res.items():
                 coeffs[k[1]] = c
             out.append(tuple(coeffs))

@@ -1,8 +1,11 @@
 """Exact rational scalars.
 
-Uses gmpy2.mpq when available (much faster), falling back to
-fractions.Fraction. Everything downstream goes through rat() so the two
-backends are interchangeable.
+An integral value is a Python int; any other value is a gmpy2.mpq when
+gmpy2 is available (much faster), else a fractions.Fraction. Everything
+downstream builds scalars through rat() and inverts them through inverse(),
+the one true division in the package, since int / int would be a float.
+Sums and products of ints stay ints, so integral tables, twists and
+relations run on int arithmetic through the same kernels.
 """
 
 import re
@@ -18,16 +21,26 @@ except ImportError:  # pragma: no cover
 
 
 def rat(a, b=None):
-    """Build an exact rational from ints, strings like "-2/3", or rationals."""
+    """An exact rational from ints, strings like "-2/3", or rationals: an
+    int when the value is integral, a _Q otherwise."""
     if b is not None:
-        return _Q(a, b)
-    if isinstance(a, str):
-        return _Q(a.strip())
-    return _Q(a)
+        q = _Q(a, b)
+    elif type(a) is int:
+        return a
+    elif type(a) is _Q:
+        q = a
+    else:
+        q = _Q(a.strip() if isinstance(a, str) else a)
+    return int(q) if q.denominator == 1 else q
 
 
-ZERO = rat(0)
-ONE = rat(1)
+def inverse(c):
+    """The exact inverse 1/c of a nonzero rational, an int when integral."""
+    return rat(_Q(1) / c)
+
+
+ZERO = 0
+ONE = 1
 
 
 def rat_str(c) -> str:

@@ -1,6 +1,7 @@
 """Tests for structure-constant algebras, identity checking, and twisting."""
 
 import itertools
+import math
 import re
 
 import pytest
@@ -412,6 +413,39 @@ def test_main_theorem_suite():
     ab = builtin_algebra("abelian3")
     assert check_identity(hom_version(ab), catalog("hom_lie")).ok
 
+
+
+def _m2():
+    """M2(Q) on E11, E12, E21, E22: E_ij E_jl = E_il."""
+    E = [(i, j) for i in range(2) for j in range(2)]
+    mu = MultilinearOp.from_sparse(
+        "mu", 2, 4,
+        [[E.index((i, j)), E.index((j, l)), E.index((i, l)), 1]
+         for i in range(2) for j in range(2) for l in range(2)],
+    )
+    return AlgebraSpec(4, ["e11", "e12", "e21", "e22"], {"mu": mu}, identity_matrix(4)), E
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+        lambda g: g[0] * g[3] != g[1] * g[2]
+    )
+)
+def test_m2_conjugation_twist_is_hom_associative(g):
+    """X -> g X g^-1 is an automorphism of M2(Q), so its Yau twist is
+    Hom-associative; its matrix is integral exactly when g over the gcd of
+    its entries is unimodular (a scalar factor of g cancels)."""
+    m2, E = _m2()
+    a, b, c, d = g
+    det = a * d - b * c
+    gm = ((a, b), (c, d))
+    ginv = ((rat(d, det), rat(-b, det)), (rat(-c, det), rat(a, det)))
+    beta = matrix([[gm[k][i] * ginv[j][l] for i, j in E] for k, l in E])
+    h = math.gcd(a, b, c, d)
+    assert any(type(e) is not int for row in beta for e in row) == (abs(det) != h * h)
+    assert check_identity(m2, catalog("associative")).ok
+    assert check_identity(yau_twist(m2, beta), catalog("hom_associative")).ok
 
 def test_parallel_check_matches_sequential(sl2, octonions):
     data = sl2.to_json()

@@ -29,7 +29,7 @@ from homforge.expr import (
     parse_poly,
     render_poly,
 )
-from homforge.fdalg import builtin_algebra, hom_version, sabinin_from, zero_matrix
+from homforge.fdalg import AlgebraSpec, builtin_algebra, hom_version, sabinin_from, zero_matrix
 from homforge.hombialg import (
     _PhiComponent,
     _build_from_shape,
@@ -467,6 +467,7 @@ def _direct_u_hom_relations(fam, alpha, degree_bound):
     """The enveloping relations in u_hom_relations's order, from QSolver run
     on the basis letters themselves: no template and no renaming."""
     basis, s = fam.basis, QSolver()
+    spec = AlgebraSpec(fam.dim, basis, {}, alpha)
 
     def vec(v):
         return Poly({Leaf(basis[i], 0): c for i, c in v.items()})
@@ -483,12 +484,12 @@ def _direct_u_hom_relations(fam, alpha, degree_bound):
         for idx in itertools.product(range(fam.dim), repeat=n + 2):
             if idx[-2] < idx[-1]:
                 q = s.bracket(word(idx[:-2]), basis[idx[-2]], basis[idx[-1]])
-                out.append(vec(fam.brackets[n].basis_value(idx)) - expand_exponents(q, basis, alpha))
+                out.append(vec(fam.brackets[n].basis_value(idx)) - expand_exponents(q, spec))
     for (n, m), op in fam.phi.items():
         if n + m <= degree_bound:
             for idx in itertools.product(range(fam.dim), repeat=n + m):
                 q = s.phi(word(idx[:n]), word(idx[n:]))
-                out.append(vec(op.basis_value(idx)) - expand_exponents(q, basis, alpha))
+                out.append(vec(op.basis_value(idx)) - expand_exponents(q, spec))
     return [r for r in out if not r.is_zero()]
 
 
@@ -510,8 +511,8 @@ def test_substitution_sums_colliding_monomials():
     s = QSolver()
     template = s.q(("u0", "u1"), ("v0",), "zz")
     assert len(template.terms) == 6
-    got = _substitute(template, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2), spec.basis, spec.alpha)
-    assert got == expand_exponents(s.q(("h", "h"), ("x",), "y"), spec.basis, spec.alpha)
+    got = _substitute(template, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2), spec)
+    assert got == expand_exponents(s.q(("h", "h"), ("x",), "y"), spec)
 
 
 def _expand_node_by_node(p, basis, alpha):
@@ -575,7 +576,8 @@ def test_expand_exponents_matches_node_by_node_expansion(case):
     """One product of the leaves' alpha-columns per monomial equals the
     node-by-node expansion."""
     p, basis, alpha = case
-    assert expand_exponents(p, basis, alpha) == _expand_node_by_node(p, basis, alpha)
+    spec = AlgebraSpec(len(basis), basis, {}, alpha)
+    assert expand_exponents(p, spec) == _expand_node_by_node(p, basis, alpha)
 
 
 def test_ideal_coproduct_membership_alpha_zero():

@@ -1,14 +1,18 @@
 """Tests for the identity-twisting procedure and the builtin catalog."""
 
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homforge.expr import (
     Leaf,
     Node,
     Poly,
+    Signature,
     apply_alpha,
     apply_op,
+    collect,
     leaves,
     mul,
     parse_poly,
@@ -16,6 +20,7 @@ from homforge.expr import (
 )
 from homforge.homify import (
     HomifyError,
+    IdentitySystem,
     bracket,
     catalog,
     catalog_names,
@@ -33,6 +38,7 @@ from homforge.homify import (
     right_normed_word,
     sabinin_axiom_instances,
 )
+from homforge.rationals import rat
 
 V = Poly.gen
 al = apply_alpha
@@ -332,3 +338,42 @@ def test_identity_system_json_roundtrip():
     assert again.identities == system.identities
     assert again.signature == system.signature
     assert again.hom_form == system.hom_form
+
+
+_leaf_st = st.builds(Leaf, st.sampled_from("xyz"), st.integers(0, 2))
+_tree_st = st.recursive(
+    _leaf_st,
+    lambda kids: st.one_of(
+        st.builds(lambda a, b: Node("mu", (a, b)), kids, kids),
+        st.builds(lambda a, b, c: Node("tri", (a, b, c)), kids, kids, kids),
+    ),
+    max_leaves=5,
+)
+_coeff_st = st.one_of(
+    st.integers(-5, 5).filter(bool).map(rat),
+    st.builds(rat, st.integers(-5, 5).filter(bool), st.integers(1, 4)),
+)
+_poly_st = st.lists(st.tuples(_tree_st, _coeff_st), min_size=1, max_size=4).map(
+    lambda terms: Poly(collect(terms))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_poly_st, min_size=1, max_size=3), st.booleans())
+def test_generated_identity_json_round_trips(polys, hom_form):
+    """JSON -> identity_system_from_json -> JSON is the identity on generated
+    systems: arity-2 and arity-3 ops, A^k leaves, integral and rational
+    coefficients; an integral coefficient reads back as an int, also when the
+    file writes it as a JSON integer."""
+    system = IdentitySystem("gen", Signature([("mu", 2), ("tri", 3)]), tuple(polys), hom_form)
+    doc = json.loads(json.dumps(identity_system_to_json(system)))
+    again = identity_system_from_json(doc)
+    assert identity_system_to_json(again) == doc
+    assert again.identities == system.identities
+    for p in again.identities:
+        assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+    for ident in doc["identities"]:
+        for t in ident["terms"]:
+            if "/" not in t["coeff"]:
+                t["coeff"] = int(t["coeff"])
+    assert identity_system_from_json(doc).identities == system.identities

@@ -1,8 +1,12 @@
 """Property tests for exact sparse row reduction."""
 
+from fractions import Fraction
+
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from homforge.expr import parse_poly
+from homforge.hombialg import FreeHomAssocQuotient, check_antipode
 from homforge.linalg import RowSpace
 from homforge.rationals import rat
 
@@ -82,3 +86,36 @@ def test_rowspace_matches_sympy_rref(order, rows, probes):
         want = {k: c for k, c in want.items() if c != 0}
         got = {k: sympy.Rational(str(c)) for k, c in space.reduce(probe).items()}
         assert got == want
+
+
+def _assert_exact(row):
+    """No float, and every integral entry an int."""
+    for c in row.values():
+        assert not isinstance(c, float)
+        assert type(c) is int or Fraction(c).denominator != 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(sparse_rows, binomial_rows), min_size=1, max_size=10),
+    st.lists(st.one_of(sparse_rows, binomial_rows), max_size=4),
+)
+def test_rowspace_keeps_integral_coefficients_as_ints(rows, probes):
+    space = RowSpace()
+    for row in rows:
+        _assert_exact(space.add(row))
+        for stored in space.rows.values():
+            _assert_exact(stored)
+    for probe in probes:
+        _assert_exact(space.reduce(probe))
+
+
+def test_binomial_component_rows_are_ints():
+    """The antipode quotient's Hom-associativity rows are +-1 binomials, so
+    their echelon form stays on int arithmetic: the component that the
+    antipode check of (a*b)*(c*d) reduces in."""
+    q = FreeHomAssocQuotient(("a", "b", "c", "d"), 4, 8)
+    assert check_antipode(parse_poly("(a*b)*(c*d)").sorted_terms()[0][0], quotient=q).ok
+    comp = q.component((("a", 4), ("b", 4), ("c", 4), ("d", 4)))
+    assert (len(comp.monomials), comp.rank) == (120, 96)
+    assert all(type(c) is int for row in comp.space.rows.values() for c in row.values())
