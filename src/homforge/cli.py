@@ -15,7 +15,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .expr import ParseError, SignatureError, parse_poly, render_mono, render_poly
+from .expr import MUL, ParseError, SignatureError, parse_poly, render_mono, render_poly
 from .fdalg import (
     AlgebraSpec,
     FdalgError,
@@ -143,7 +143,7 @@ def cmd_check(args) -> int:
     system = _load_identity(args.identity)
     notes = []
     needs_tri = any(op == "tri" for op, _ in system.signature.ops)
-    if needs_tri and "tri" not in spec.ops and "mu" in spec.ops:
+    if needs_tri and "tri" not in spec.ops and MUL in spec.ops:
         spec = akivis_ops(spec)
         notes.append("derived Akivis operations (commutator and Hom-associator)")
     report = check_identity(spec, system, jobs=args.jobs)
@@ -199,7 +199,7 @@ def cmd_sabinin(args) -> int:
         fam = yiii_hom(spec, args.cutoff)
     else:
         fam = sabinin_from(spec, args.cls, args.cutoff)
-    report = check_sabinin_axioms(fam, spec, max(args.cutoff - 1, 0))
+    report = check_sabinin_axioms(fam, max(args.cutoff - 1, 0))
     human = [f"sabinin[{args.cls}] on {spec.name or args.algebra}: {report.status}"]
     human += [f"  {r.name}: {r.status} ({r.checked} tuples)" for r in report.axioms]
     human += [f"  skipped: {s}" for s in report.skipped]
@@ -246,7 +246,7 @@ def cmd_envelope(args) -> int:
         fam = yiii_hom(spec, max(args.degree - 2, 0))
     else:
         fam = sabinin_from(spec, args.cls, max(args.degree - 2, 0))
-    quotient = u_hom(fam, spec.alpha, args.degree)
+    quotient = u_hom(fam, args.degree)
     report = quotient.report()
     human = [f"U_hom({spec.name or args.algebra}) up to degree {args.degree}:"]
     human += [

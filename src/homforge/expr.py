@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from .rationals import ONE, ZERO, rat, rat_from_json
 
-MUL = "mu"  # default symbol for the binary product
+MUL = "mu"  # the symbol of the binary product
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +100,14 @@ class Signature:
 
     @staticmethod
     def from_json(data: dict) -> "Signature":
-        ops = json_key(data, "ops", SignatureError, "a signature")
+        ops = json_field(data, "ops", list, SignatureError, "a signature")
         return Signature(
             [
-                (json_key(o, "name", SignatureError, "an operation"),
-                 json_key(o, "arity", SignatureError, "an operation"))
+                (json_field(o, "name", str, SignatureError, "an operation"),
+                 json_field(o, "arity", int, SignatureError, "an operation"))
                 for o in ops
             ],
-            unitary=data.get("unitary", False),
+            unitary=json_typed(data.get("unitary", False), bool, SignatureError, "'unitary'"),
         )
 
 
@@ -151,10 +151,6 @@ def gen_mono(base: str, exp: int = 0) -> Leaf:
     if exp < 0:
         raise ValueError("twisting exponent must be nonnegative")
     return Leaf(base, exp)
-
-
-def node(op: str, args: Iterable[Monomial]) -> Node:
-    return Node(op, tuple(args))
 
 
 def leaves(m: Monomial) -> List[Leaf]:
@@ -336,8 +332,8 @@ def apply_op(op: str, args: Sequence[Poly]) -> Poly:
     return Poly(expand([p.terms for p in args], combine))
 
 
-def mul(p: Poly, q: Poly, op: str = MUL) -> Poly:
-    return apply_op(op, [p, q])
+def mul(p: Poly, q: Poly) -> Poly:
+    return apply_op(MUL, [p, q])
 
 
 def apply_alpha(p: Poly, k: int) -> Poly:
@@ -555,6 +551,22 @@ def json_key(data, key: str, error, what: str):
     return data[key]
 
 
+_JSON_KINDS = {list: "a list", str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def json_typed(value, kind: type, error, what: str):
+    """value when it is of JSON type kind (a boolean is no integer); else
+    `error`, naming `what`."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise error(f"{what} is not {_JSON_KINDS[kind]}: {value!r}")
+
+
+def json_field(data, key: str, kind: type, error, what: str):
+    """data[key] of a JSON object (`what`), checked to be of JSON type kind."""
+    return json_typed(json_key(data, key, error, what), kind, error, repr(key))
+
+
 def mono_to_json(m: Monomial):
     if m is UNIT:
         return {"unit": True}
@@ -573,11 +585,12 @@ def mono_from_json(data) -> Monomial:
         exp = data.get("exp", 0)
         if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
             raise ParseError(f"exponent {exp!r} is not a non-negative integer")
-        return Leaf(json_key(data, "var", ParseError, "a leaf"), exp)
+        return Leaf(json_field(data, "var", str, ParseError, "a leaf"), exp)
     if isinstance(data, list):
         if len(data) < 3:
             raise ParseError("operation nodes need an op symbol and >= 2 children")
-        return Node(data[0], tuple(mono_from_json(d) for d in data[1:]))
+        op = json_typed(data[0], str, ParseError, "an op symbol")
+        return Node(op, tuple(mono_from_json(d) for d in data[1:]))
     raise ParseError(f"bad tree encoding: {data!r}")
 
 

@@ -9,6 +9,7 @@ Hom-power associativity checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
+    MUL,
     Leaf,
     Monomial,
     Poly,
@@ -24,12 +26,12 @@ from .expr import (
     UNIT,
     apply_alpha,
     apply_op,
+    json_field,
     json_key,
+    json_typed,
     leaves,
     lincomb,
     mul,
-    poly_from_json,
-    poly_to_json,
     unshuffle_pairs,
 )
 from .homify import (
@@ -104,12 +106,6 @@ def _size_from_json(n, what: str) -> int:
     raise FdalgError(f"{what} {n!r} is not a non-negative integer")
 
 
-def _list_from_json(value, what: str) -> list:
-    if isinstance(value, list):
-        return value
-    raise FdalgError(f"{what} is not a list: {value!r}")
-
-
 class MultilinearOp:
     """A multilinear operation given by its structure-constant tensor.
 
@@ -169,10 +165,10 @@ class MultilinearOp:
                 terms.append((c, ent))
         return lincomb(terms)
 
-    def post_compose(self, cols: Sequence[Vector], name: Optional[str] = None) -> "MultilinearOp":
+    def post_compose(self, cols: Sequence[Vector]) -> "MultilinearOp":
         """The operation followed by the linear map with columns cols."""
         entries = {idx: apply_linear(cols, ent) for idx, ent in self.entries.items()}
-        return MultilinearOp(name or self.name, self.arity, self.dim, entries)
+        return MultilinearOp(self.name, self.arity, self.dim, entries)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -215,9 +211,9 @@ class AlgebraSpec:
             self._check_unitary()
 
     def _check_unitary(self) -> None:
-        mu = self.ops.get("mu")
+        mu = self.ops.get(MUL)
         if mu is None:
-            raise FdalgError("unitary spec needs a binary product named 'mu'")
+            raise FdalgError(f"unitary spec needs a binary product named {MUL!r}")
         for i in range(self.dim):
             e = self.basis_vector(i)
             want = self.apply_alpha_vec(e, 1)
@@ -244,10 +240,9 @@ class AlgebraSpec:
             return v
         return apply_linear(self.alpha_columns(k), v)
 
-    def with_alpha(self, alpha: Matrix, name: Optional[str] = None) -> "AlgebraSpec":
+    def with_alpha(self, alpha: Matrix) -> "AlgebraSpec":
         return AlgebraSpec(
-            self.dim, self.basis, self.ops, alpha, self.unit,
-            name or self.name, self.cls,
+            self.dim, self.basis, self.ops, alpha, self.unit, self.name, self.cls
         )
 
     def signature(self) -> Signature:
@@ -286,34 +281,34 @@ class AlgebraSpec:
             return json_key(obj, key, FdalgError, what)
 
         dim = _size_from_json(need(data, "dim"), "dim")
-        basis = _list_from_json(need(data, "basis"), "'basis'")
+        basis = json_field(data, "basis", list, FdalgError, "algebra JSON")
         if not all(isinstance(b, str) for b in basis) or len(set(basis)) != len(basis):
             raise FdalgError(f"'basis' is not a list of distinct strings: {basis!r}")
         ops = {}
-        for o in _list_from_json(need(data, "ops"), "'ops'"):
-            name = need(o, "name", "an operation")
+        for o in json_field(data, "ops", list, FdalgError, "algebra JSON"):
+            name = json_field(o, "name", str, FdalgError, "an operation")
             arity = _size_from_json(need(o, "arity", "an operation"), "arity")
-            entries = _list_from_json(o.get("entries", []), f"'entries' of {name!r}")
+            entries = json_typed(o.get("entries", []), list, FdalgError, f"'entries' of {name!r}")
             if name in ops:
                 raise FdalgError(f"'ops' names the operation {name!r} twice")
             ops[name] = MultilinearOp.from_sparse(name, arity, dim, entries)
         unit = data.get("unit")
         if unit is not None:
-            unit = _list_from_json(unit, "'unit'")
+            unit = json_typed(unit, list, FdalgError, "'unit'")
             if len(unit) != dim:
                 raise FdalgError(f"unit has {len(unit)} coordinates, not {dim}")
             coords = [rat_from_json(c, FdalgError) for c in unit]
             unit = {i: coords[i] for i in range(dim) if coords[i] != 0}
-        alpha = [_list_from_json(row, "a row of 'alpha'")
-                 for row in _list_from_json(need(data, "alpha"), "'alpha'")]
+        alpha = [json_typed(row, list, FdalgError, "a row of 'alpha'")
+                 for row in json_field(data, "alpha", list, FdalgError, "algebra JSON")]
         return AlgebraSpec(
             dim,
             basis,
             ops,
             tuple(tuple(rat_from_json(c, FdalgError) for c in row) for row in alpha),
             unit,
-            name=data.get("name", ""),
-            cls=data.get("class", ""),
+            name=json_typed(data.get("name", ""), str, FdalgError, "'name'"),
+            cls=json_typed(data.get("class", ""), str, FdalgError, "'class'"),
         )
 
 
@@ -484,32 +479,19 @@ def _failures(
     return out
 
 
-def _check_chunk(payload):
-    spec_json, ident_terms, variables, mults, lo, hi, limit = payload
-    spec = AlgebraSpec.from_json(spec_json)
-    candidate_sets = [
-        polarization_vectors(spec.dim, spec.basis, mults[v]) for v in variables
-    ]
-    return _failures(spec, poly_from_json(ident_terms), variables, candidate_sets, lo, hi, limit)
+MAX_WITNESSES = 5
 
 
-def check_identity(
-    spec: AlgebraSpec,
-    system: IdentitySystem,
-    max_witnesses: int = 5,
-    jobs: int = 1,
-) -> CheckReport:
+def check_identity(spec: AlgebraSpec, system: IdentitySystem, jobs: int = 1) -> CheckReport:
     """Evaluate every identity of the system on enough tuples to be exhaustive.
 
     Multilinear identities are checked on all basis tuples; identities with a
     repeated variable are checked on polarization sums as well. The check
-    stops at the tuple that brings max_witnesses witnesses; `checked` counts
+    stops at the tuple that brings MAX_WITNESSES witnesses; `checked` counts
     the tuples up to there. With jobs > 1 the tuple space is split into
     contiguous chunks evaluated in worker processes and merged in order, so
     the report does not depend on jobs.
     """
-    if max_witnesses < 1:
-        raise FdalgError("max_witnesses must be at least 1")
     report = CheckReport(name=system.name, status="pass")
     for pos, ident in enumerate(system.identities):
         mults = _variable_multiplicities(ident)
@@ -524,18 +506,17 @@ def check_identity(
         total = 1
         for cs in candidate_sets:
             total *= len(cs)
-        room = max_witnesses - len(report.witnesses)
+        room = MAX_WITNESSES - len(report.witnesses)
         if jobs > 1 and total >= 4 * jobs:
             from concurrent.futures import ProcessPoolExecutor
 
             step = -(-total // jobs)
-            payloads = [
-                (spec.to_json(), poly_to_json(ident), variables, mults,
-                 lo, min(lo + step, total), room)
-                for lo in range(0, total, step)
-            ]
+            los = range(0, total, step)
+            his = [min(lo + step, total) for lo in los]
+            chunk = functools.partial(_failures, spec, ident, variables, candidate_sets)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                found = [f for chunk in pool.map(_check_chunk, payloads) for f in chunk]
+                parts = pool.map(chunk, los, his, itertools.repeat(room))
+                found = [f for part in parts for f in part]
         else:
             found = _failures(spec, ident, variables, candidate_sets, 0, total, room)
         label = f"{system.name}[{pos}]"
@@ -583,7 +564,7 @@ def classical(spec: AlgebraSpec) -> AlgebraSpec:
     return spec.with_alpha(identity_matrix(spec.dim))
 
 
-def hom_version(spec: AlgebraSpec, check: bool = True) -> AlgebraSpec:
+def hom_version(spec: AlgebraSpec) -> AlgebraSpec:
     """Yau-twist the classical view of a bundled algebra by its stored map.
 
     Bundled catalog entries store a classical algebra together with an
@@ -591,7 +572,7 @@ def hom_version(spec: AlgebraSpec, check: bool = True) -> AlgebraSpec:
     studies is the twist of the classical structure by that endomorphism.
     """
     return yau_twist(
-        classical(spec), spec.alpha, check=check,
+        classical(spec), spec.alpha,
         name=f"{spec.name}_hom" if spec.name else "hom",
     )
 
@@ -617,18 +598,18 @@ def tabulate_poly(
     )
 
 
-def commutator_table(spec: AlgebraSpec, op: str = "mu") -> MultilinearOp:
+def commutator_table(spec: AlgebraSpec) -> MultilinearOp:
     a, b = Poly.gen("a"), Poly.gen("b")
-    return tabulate_poly("mu", spec, mul(a, b, op) - mul(b, a, op), "ab")
+    return tabulate_poly(MUL, spec, mul(a, b) - mul(b, a), "ab")
 
 
-def hom_associator_table(spec: AlgebraSpec, op: str = "mu", name: str = "tri") -> MultilinearOp:
+def hom_associator_table(spec: AlgebraSpec) -> MultilinearOp:
     """(a,b,c)_alpha = (ab) alpha(c) - alpha(a) (bc) as a structure tensor."""
     a, b, c = (Poly.gen(v) for v in "abc")
-    return tabulate_poly(name, spec, hom_associator(a, b, c, op), "abc")
+    return tabulate_poly("tri", spec, hom_associator(a, b, c), "abc")
 
 
-def akivis_ops(spec: AlgebraSpec, hom: bool = True, name: str = "") -> AlgebraSpec:
+def akivis_ops(spec: AlgebraSpec, hom: bool = True) -> AlgebraSpec:
     """Commutator plus (Hom-)associator of the binary product.
 
     With hom=True this is the Hom-Akivis structure attached to a
@@ -638,21 +619,21 @@ def akivis_ops(spec: AlgebraSpec, hom: bool = True, name: str = "") -> AlgebraSp
     return AlgebraSpec(
         spec.dim,
         spec.basis,
-        {"mu": commutator_table(spec), "tri": tri},
+        {MUL: commutator_table(spec), "tri": tri},
         spec.alpha,
-        name=name or (f"{spec.name}_akivis" if spec.name else "akivis"),
+        name=f"{spec.name}_akivis" if spec.name else "akivis",
         cls="hom_akivis" if hom else "akivis",
     )
 
 
-def commutator_algebra(spec: AlgebraSpec, name: str = "") -> AlgebraSpec:
+def commutator_algebra(spec: AlgebraSpec) -> AlgebraSpec:
     """A^-: same space with the commutator bracket and the same twisting map."""
     return AlgebraSpec(
         spec.dim,
         spec.basis,
-        {"mu": commutator_table(spec)},
+        {MUL: commutator_table(spec)},
         spec.alpha,
-        name=name or (f"{spec.name}_minus" if spec.name else "minus"),
+        name=f"{spec.name}_minus" if spec.name else "minus",
         cls="",
     )
 
@@ -663,10 +644,10 @@ def commutator_algebra(spec: AlgebraSpec, name: str = "") -> AlgebraSpec:
 
 @dataclass
 class OpFamily:
-    """Bracket tables <x1..xn; a, b> for n <= cutoff plus Phi tables."""
+    """Bracket tables <x1..xn; a, b> for n <= cutoff plus Phi tables, with
+    the algebra they were built from: its basis and twisting map are theirs."""
 
-    dim: int
-    basis: Tuple[str, ...]
+    spec: AlgebraSpec
     brackets: Dict[int, MultilinearOp]
     phi: Dict[Tuple[int, int], MultilinearOp]
     cutoff: int
@@ -728,7 +709,7 @@ def sabinin_from(
                 [Poly.gen(l, 1) for l in xs], Poly.gen("c", 1), mul(a, b)
             )
         ops = {f"br{j}": op for j, op in brackets.items()}
-        ops["mu"] = spec.ops["mu"]
+        ops[MUL] = spec.ops[MUL]
         lower = AlgebraSpec(spec.dim, spec.basis, ops, spec.alpha)
         variables = ("c", *xs) if cls == "bol" else (*xs, "c")
         brackets[n] = tabulate_poly(f"br{n}", lower, template, (*variables, "a", "b"))
@@ -739,14 +720,15 @@ def sabinin_from(
         for m in range(2, cutoff + 2)
         if n + m <= cutoff + 2
     }
-    return OpFamily(spec.dim, spec.basis, brackets, phi, cutoff)
+    return OpFamily(spec, brackets, phi, cutoff)
 
 
-def family_spec(fam: OpFamily, alpha: Matrix) -> AlgebraSpec:
+def family_spec(fam: OpFamily) -> AlgebraSpec:
     """Wrap bracket/Phi tables as an algebra so identity templates can run."""
     ops = {f"br{n}": op for n, op in fam.brackets.items()}
     ops.update({f"phi{n}_{m}": op for (n, m), op in fam.phi.items()})
-    return AlgebraSpec(fam.dim, fam.basis, ops, alpha, name="sabinin_family")
+    spec = fam.spec
+    return AlgebraSpec(spec.dim, spec.basis, ops, spec.alpha, name="sabinin_family")
 
 
 @dataclass
@@ -767,23 +749,17 @@ class SabininAxiomReport:
         }
 
 
-def check_sabinin_axioms(fam: OpFamily, spec: AlgebraSpec, cutoff: int) -> SabininAxiomReport:
+def check_sabinin_axioms(fam: OpFamily, cutoff: int) -> SabininAxiomReport:
     """Exhaustively evaluate the four Hom-Sabinin axioms up to prefix length cutoff.
 
     Instances that need bracket tables beyond fam.cutoff are reported as
     skipped, not failed (Hsab2 raises the word length by two, Hsab3 by one).
     """
-    pseudo = family_spec(fam, spec.alpha)
+    pseudo = family_spec(fam)
     report = SabininAxiomReport(status="pass")
     phi_shapes = sorted(fam.phi)
     for n in range(cutoff + 1):
-        instances = sabinin_axiom_instances(n)
-        for (nn, mm) in phi_shapes:
-            if nn == n:
-                from .homify import hsab4_instances
-
-                for i, inst in enumerate(hsab4_instances(nn, mm)):
-                    instances.append((f"Hsab4[n={nn},m={mm}]#{i}", inst))
+        instances = sabinin_axiom_instances(n, [m for nn, m in phi_shapes if nn == n])
         for label, template in instances:
             if max_bracket_length(template) > fam.cutoff:
                 report.skipped.append(label)
@@ -803,11 +779,11 @@ def check_sabinin_axioms(fam: OpFamily, spec: AlgebraSpec, cutoff: int) -> Sabin
 # Hom-powers
 
 
-def hom_power(spec: AlgebraSpec, v: Vector, n: int, op: str = "mu") -> Vector:
+def hom_power(spec: AlgebraSpec, v: Vector, n: int) -> Vector:
     """x^1 = x, x^n = x^(n-1) . alpha^(n-2)(x)."""
     if n < 1:
         raise FdalgError("powers start at 1")
-    mu = spec.ops[op]
+    mu = spec.ops[MUL]
     out = v
     for k in range(2, n + 1):
         out = mu.eval([out, spec.apply_alpha_vec(v, k - 2)])
@@ -857,7 +833,7 @@ def _sample_vectors(spec: AlgebraSpec, samples: int, seed: int) -> List[Tuple[st
 
 
 def check_power_associative(
-    spec: AlgebraSpec, max_power: int = 6, samples: int = 100, seed: int = 2024, op: str = "mu"
+    spec: AlgebraSpec, max_power: int = 6, samples: int = 100, seed: int = 2024
 ) -> PowerReport:
     """Check x^(n+m) = alpha^(m-1)(x^n) . alpha^(n-1)(x^m) for n+m <= max_power.
 
@@ -866,7 +842,7 @@ def check_power_associative(
     (x,x,x)_alpha = 0 = (x^2, alpha(x), alpha(x))_alpha, and reports whether
     the implication "conditions hold => Hom-power associative" was observed.
     """
-    if sum(1 for o in spec.ops.values() if o.arity == 2) != 1 or op not in spec.ops:
+    if sum(1 for o in spec.ops.values() if o.arity == 2) != 1 or MUL not in spec.ops:
         raise FdalgError("power associativity needs a single binary product")
     if max_power < 2:
         raise FdalgError("max_power must be at least 2")
@@ -878,9 +854,9 @@ def check_power_associative(
         report.notes.append(f"alpha is not multiplicative; witness {witness_str(witness)}")
         report.status = "fail"
         return report
-    mu = spec.ops[op]
+    mu = spec.ops[MUL]
     for label, x in _sample_vectors(spec, samples, seed):
-        powers = {n: hom_power(spec, x, n, op) for n in range(1, max_power + 1)}
+        powers = {n: hom_power(spec, x, n) for n in range(1, max_power + 1)}
         al = spec.apply_alpha_vec
         x2, x4 = powers[2], powers.get(4)
         lhs1 = mu.eval([x2, al(x, 1)])

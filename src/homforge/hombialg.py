@@ -41,7 +41,7 @@ from .expr import (
     render_mono,
     render_poly,
 )
-from .fdalg import AlgebraSpec, Matrix, OpFamily, Vector
+from .fdalg import AlgebraSpec, OpFamily, Vector
 from .linalg import RowSpace, kernel
 from .qops import QSolver
 from .rationals import ONE, ZERO, rat, rat_str
@@ -314,14 +314,15 @@ class _PhiComponent:
                     else:
                         self.monomials.append(_build_from_shape(shape, iter(lvs)))
         self.monomials.sort(key=mono_key)
-        self.space = RowSpace(key=mono_key)
+        # the pivot order is mono_key's, read off each monomial's position
+        position = {m: i for i, m in enumerate(self.monomials)}
+        self.space = RowSpace(key=position.__getitem__)
         # A rewrite keeps the phi signature and non-negative exponents, so a
         # target that is not a member is a tree the enumeration met with no
         # negative exponent and one above the bound: truncated is already set.
-        members = set(self.monomials)
         for m in self.monomials:
             for m2 in self._rewrites(m):
-                if m2 in members:
+                if m2 in position:
                     self.space.add({m: ONE, m2: -ONE})
 
     def _rewrites(self, m: Monomial) -> List[Monomial]:
@@ -614,13 +615,12 @@ class FilteredQuotient:
     def filtration_dim(self, k: int) -> int:
         return sum(self._graded_dim(n) for n in range(1, k + 1))
 
-    def graded_dims(self, max_degree: Optional[int] = None) -> Dict[int, int]:
-        top = max_degree or self.degree_bound
-        return {k: self._graded_dim(k) for k in range(1, top + 1)}
+    def graded_dims(self) -> Dict[int, int]:
+        return {k: self._graded_dim(k) for k in range(1, self.degree_bound + 1)}
 
-    def report(self, degrees: Optional[Iterable[int]] = None) -> Dict[int, Tuple[int, int]]:
-        degs = list(degrees) if degrees is not None else list(range(1, self.degree_bound + 1))
-        return {k: (self._graded_dim(k), self._ranks[k]) for k in degs}
+    def report(self) -> Dict[int, Tuple[int, int]]:
+        """(dimension, relation rank) in each degree up to the bound."""
+        return {k: (dim, self._ranks[k]) for k, dim in self.graded_dims().items()}
 
 
 def _substitute(
@@ -636,17 +636,18 @@ def _substitute(
     return expand_exponents(Poly(renamed), spec)
 
 
-def u_hom_relations(fam: OpFamily, alpha: Matrix, degree_bound: int) -> List[Poly]:
+def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     """Generators of the enveloping ideal, as elements of K{S}.
 
     Three families: [a,b] + <a,b> with [a,b] the free commutator,
     <u;a,b> + q(u,a,b) - q(u,b,a) for nonempty basis words u, and Phi(u,v)
     minus the symmetrized q-average wherever Phi tables exist. Each relation
     is a table value minus a symbolic template, one per shape on fixed
-    letters, with the basis letters substituted.
+    letters, with the basis letters substituted and expanded through the
+    family's twisting map.
     """
-    basis, dim = fam.basis, fam.dim
-    spec = AlgebraSpec(dim, basis, {}, alpha)  # one alpha-power cache for every instance
+    spec = fam.spec
+    basis, dim = spec.basis, spec.dim
     solver = QSolver()
     relations: List[Poly] = []
 
@@ -672,7 +673,7 @@ def u_hom_relations(fam: OpFamily, alpha: Matrix, degree_bound: int) -> List[Pol
     return relations
 
 
-def u_hom(fam: OpFamily, alpha: Matrix, degree_bound: int) -> FilteredQuotient:
+def u_hom(fam: OpFamily, degree_bound: int) -> FilteredQuotient:
     """Truncated universal enveloping Hom-algebra of a Sabinin operation family.
 
     Every bracket relation with word length up to degree_bound - 2 is needed,
@@ -683,9 +684,7 @@ def u_hom(fam: OpFamily, alpha: Matrix, degree_bound: int) -> FilteredQuotient:
             f"family cutoff {fam.cutoff} cannot supply bracket relations "
             f"up to degree {degree_bound}; need cutoff >= {degree_bound - 2}"
         )
-    return FilteredQuotient(
-        fam.basis, u_hom_relations(fam, alpha, degree_bound), degree_bound
-    )
+    return FilteredQuotient(fam.spec.basis, u_hom_relations(fam, degree_bound), degree_bound)
 
 
 def pi_map(quotient: FilteredQuotient, basis_index: int) -> Poly:
@@ -767,19 +766,15 @@ def check_coassociative(monomials: Sequence[Monomial]) -> BialgebraReport:
 
 
 def check_ideal_coproduct(
-    quotient: FilteredQuotient,
-    generators: Sequence[Poly],
-    basis: Sequence[str],
-    alpha: Matrix,
+    quotient: FilteredQuotient, generators: Sequence[Poly], spec: AlgebraSpec
 ) -> BialgebraReport:
     """Delta(r) in B (x) I + I (x) B for ideal generators r, within bounds.
 
     Membership is tested through the quotient map on each tensor factor:
     the combination vanishes in (B/I) (x) (B/I) exactly when it lies in
     B (x) I + I (x) B. Coproduct summands carry twisting exponents, which are
-    expanded through the matrix before reduction.
+    expanded through spec's twisting map before reduction.
     """
-    spec = AlgebraSpec(len(basis), basis, {}, alpha)
 
     def image(m: Monomial) -> Dict[Monomial, object]:
         # m expanded through alpha and reduced; the unit part stays as it is
@@ -805,8 +800,7 @@ def check_bialgebra(
     monomials: Sequence[Monomial] = (),
     quotient: Optional[FilteredQuotient] = None,
     generators: Sequence[Poly] = (),
-    basis: Sequence[str] = (),
-    alpha: Optional[Matrix] = None,
+    spec: Optional[AlgebraSpec] = None,
 ) -> BialgebraReport:
     """Counit laws, cocommutativity and coassociativity on sample monomials,
     plus Delta(ideal) membership in B (x) I + I (x) B when a quotient is given."""
@@ -820,7 +814,7 @@ def check_bialgebra(
             for name, outcome in sub.checks:
                 report.note(name, outcome)
     if quotient is not None and generators:
-        sub = check_ideal_coproduct(quotient, generators, basis, alpha)
+        sub = check_ideal_coproduct(quotient, generators, spec)
         for name, outcome in sub.checks:
             report.note(name, outcome)
     return report

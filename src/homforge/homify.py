@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .expr import (
     BINARY,
@@ -29,9 +29,12 @@ from .expr import (
     apply_alpha,
     apply_op,
     gen_mono,
+    json_field,
     json_key,
+    json_typed,
     leaves,
     lincomb,
+    mul,
     poly_from_json,
     poly_to_json,
     unshuffle_pairs,
@@ -90,35 +93,32 @@ def homify_identity(p: Poly) -> Poly:
     return Poly(out)
 
 
-def right_normed_word(w: Word, op: str = MUL) -> Monomial:
+def right_normed_word(w: Word) -> Monomial:
     """The left-combed product tree (...((x1 x2) x3)...) xn."""
     if not w:
         raise HomifyError("empty word has no product tree")
     m: Monomial = gen_mono(w[0])
     for letter in w[1:]:
-        m = Node(op, (m, gen_mono(letter)))
+        m = Node(MUL, (m, gen_mono(letter)))
     return m
 
 
-def right_normed_homified(w: Word, op: str = MUL) -> Monomial:
+def right_normed_homified(w: Word) -> Monomial:
     """[u]_alpha: the homified left-combed product of the word u."""
-    return homify_monomial(right_normed_word(w, op))
+    return homify_monomial(right_normed_word(w))
 
 
-def hom_associator(a: Poly, b: Poly, c: Poly, op: str = MUL) -> Poly:
+def hom_associator(a: Poly, b: Poly, c: Poly) -> Poly:
     """(a, b, c)_alpha = (ab) alpha(c) - alpha(a) (bc)."""
-    return apply_op(op, [apply_op(op, [a, b]), apply_alpha(c, 1)]) - apply_op(
-        op, [apply_alpha(a, 1), apply_op(op, [b, c])]
-    )
+    return mul(mul(a, b), apply_alpha(c, 1)) - mul(apply_alpha(a, 1), mul(b, c))
 
 
-def hom_jacobiator(x: Poly, y: Poly, z: Poly, op: str = MUL) -> Poly:
+def hom_jacobiator(x: Poly, y: Poly, z: Poly) -> Poly:
     """J_alpha(x,y,z) = [[x,y],alpha(z)] + [[y,z],alpha(x)] + [[z,x],alpha(y)]."""
-    br = lambda a, b: apply_op(op, [a, b])
     return (
-        br(br(x, y), apply_alpha(z, 1))
-        + br(br(y, z), apply_alpha(x, 1))
-        + br(br(z, x), apply_alpha(y, 1))
+        mul(mul(x, y), apply_alpha(z, 1))
+        + mul(mul(y, z), apply_alpha(x, 1))
+        + mul(mul(z, x), apply_alpha(y, 1))
     )
 
 
@@ -145,10 +145,7 @@ class IdentitySystem:
 
 _V = Poly.gen
 _al = apply_alpha
-
-
-def _b(x: Poly, y: Poly) -> Poly:
-    return apply_op(MUL, [x, y])
+_b = mul
 
 
 def _t(x: Poly, y: Poly, z: Poly) -> Poly:
@@ -523,16 +520,15 @@ def hsab4_instances(n: int, m: int) -> List[Poly]:
     return out
 
 
-def sabinin_axiom_instances(
-    n: int, m: Optional[int] = None
-) -> List[Tuple[str, Poly]]:
-    """All axiom templates with prefix length exactly n (plus Hsab4 when m given)."""
+def sabinin_axiom_instances(n: int, ms: Iterable[int] = ()) -> List[Tuple[str, Poly]]:
+    """All axiom templates with prefix length exactly n, then Hsab4 for Phi_{n,m}
+    with each m of ms, in order."""
     out: List[Tuple[str, Poly]] = [(f"Hsab1[n={n}]", hsab1_instance(n))]
     for p in range(n + 1):
         q = n - p
         out.append((f"Hsab2[p={p},q={q}]", hsab2_instance(p, q)))
     out.append((f"Hsab3[n={n}]", hsab3_instance(n)))
-    if m is not None and n >= 1 and m >= 2:
+    for m in ms:
         for i, inst in enumerate(hsab4_instances(n, m)):
             out.append((f"Hsab4[n={n},m={m}]#{i}", inst))
     return out
@@ -570,11 +566,11 @@ def identity_system_from_json(data: dict) -> IdentitySystem:
     sig = Signature.from_json(json_key(data, "signature", HomifyError, "identity JSON"))
     if "identities" in data:
         polys = tuple(
-            poly_from_json(json_key(i, "terms", HomifyError, "an identity"))
-            for i in data["identities"]
+            poly_from_json(json_field(i, "terms", list, HomifyError, "an identity"))
+            for i in json_field(data, "identities", list, HomifyError, "identity JSON")
         )
     else:
-        polys = (poly_from_json(json_key(data, "terms", HomifyError, "identity JSON")),)
+        polys = (poly_from_json(json_field(data, "terms", list, HomifyError, "identity JSON")),)
     for p in polys:
         for m in p.terms:
             for nd in _internal_nodes(m):
@@ -582,7 +578,10 @@ def identity_system_from_json(data: dict) -> IdentitySystem:
                 if arity != len(nd.args):
                     raise SignatureError(f"{nd.op!r} has arity {arity}, got {len(nd.args)} arguments")
     return IdentitySystem(
-        data.get("name", "anonymous"), sig, polys, bool(data.get("hom_form", False))
+        json_typed(data.get("name", "anonymous"), str, HomifyError, "'name'"),
+        sig,
+        polys,
+        json_typed(data.get("hom_form", False), bool, HomifyError, "'hom_form'"),
     )
 
 

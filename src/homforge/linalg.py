@@ -97,24 +97,19 @@ class RowSpace:
         return list(self.rows)
 
 
-def kernel(
-    vectors: List[Row], key: Optional[Callable] = None
-) -> List[Tuple[object, ...]]:
+def kernel(vectors: List[Row], key: Callable) -> List[Tuple[object, ...]]:
     """Kernel of the linear map sending unit vector i to vectors[i].
 
     Returns coefficient tuples c with sum_i c_i vectors[i] = 0, echelonized.
-    Implemented by reducing rows augmented with bookkeeping coordinates.
+    key orders the columns of the vectors. Implemented by reducing rows
+    augmented with bookkeeping coordinates.
     """
     aux = object()  # unique tag so bookkeeping columns cannot collide
-    if key is None:
-        main_key = lambda k: (0, k)
-    else:
-        main_key = lambda k: (0, key(k))
 
     def full_key(k):
         if isinstance(k, tuple) and len(k) == 2 and k[0] is aux:
             return (-1, k[1])
-        return main_key(k)
+        return (0, key(k))
 
     space = RowSpace(key=full_key)
     out: List[Tuple[object, ...]] = []

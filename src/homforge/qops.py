@@ -114,22 +114,16 @@ class QSolver(_QRecursion):
     zero = Poly.zero()
     gen = staticmethod(Poly.gen)
     alpha = staticmethod(apply_alpha)
-
-    def __init__(self, op: str = MUL):
-        super().__init__()
-        self.op = op
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return mul(a, b, self.op)
+    mul = staticmethod(mul)
 
     @staticmethod
     def lincomb(terms) -> Poly:
         return Poly(lincomb(terms))
 
 
-def q_symbolic(n: int, m: int, op: str = MUL) -> Poly:
+def q_symbolic(n: int, m: int) -> Poly:
     """q_{n,m} on canonical letters x1..xn; y1..ym; z."""
-    solver = QSolver(op)
+    solver = QSolver()
     u = tuple(f"x{i + 1}" for i in range(n))
     v = tuple(f"y{j + 1}" for j in range(m))
     return solver.q(u, v, "z")
@@ -141,12 +135,12 @@ class NumericQSolver(_QRecursion):
     zero: Vector = {}
     lincomb = staticmethod(lincomb)
 
-    def __init__(self, spec: AlgebraSpec, op: str = "mu"):
+    def __init__(self, spec: AlgebraSpec):
         super().__init__()
-        if op not in spec.ops:
-            raise FdalgError(f"algebra has no operation {op!r}")
+        if MUL not in spec.ops:
+            raise FdalgError(f"algebra has no operation {MUL!r}")
         self.spec = spec
-        self.mu = spec.ops[op]
+        self.mu = spec.ops[MUL]
         self.gen = spec.basis_vector
         self.alpha = spec.apply_alpha_vec
 
@@ -154,24 +148,23 @@ class NumericQSolver(_QRecursion):
         return self.mu.eval([a, b])
 
 
-def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True) -> OpFamily:
+def yiii_hom(spec: AlgebraSpec, cutoff: int) -> OpFamily:
     """Hom-Sabinin operations of a Hom-algebra with one binary product.
 
     <a,b> = -(ab - ba), <u; a, b> = -q(u,a,b) + q(u,b,a) for |u| >= 1, and
     Phi_{n,m} is the symmetrized q average; tables up to word length cutoff.
     """
     binary_ops = [o for o in spec.ops.values() if o.arity == 2]
-    if len(binary_ops) != 1 or op not in spec.ops:
+    if len(binary_ops) != 1 or MUL not in spec.ops:
         raise FdalgError("YIII_hom needs exactly one binary product")
-    if check:
-        ok, witness = is_multiplicative(spec)
-        if not ok:
-            raise FdalgError(f"alpha is not multiplicative; witness {witness_str(witness)}")
+    ok, witness = is_multiplicative(spec)
+    if not ok:
+        raise FdalgError(f"alpha is not multiplicative; witness {witness_str(witness)}")
     dim = spec.dim
-    solver = NumericQSolver(spec, op)
+    solver = NumericQSolver(spec)
 
     a, b = Poly.gen("a"), Poly.gen("b")
-    brackets = {0: tabulate_poly("br0", spec, mul(b, a, op) - mul(a, b, op), "ab")}
+    brackets = {0: tabulate_poly("br0", spec, mul(b, a) - mul(a, b), "ab")}
     for n in range(1, cutoff + 1):
         brackets[n] = tabulate(
             f"br{n}", n + 2, dim, lambda idx: solver.bracket(idx[:-2], idx[-2], idx[-1])
@@ -183,7 +176,7 @@ def yiii_hom(spec: AlgebraSpec, cutoff: int, op: str = "mu", check: bool = True)
         for n in range(1, cutoff + 1)
         for m in range(2, cutoff + 2 - n)
     }
-    return OpFamily(dim, spec.basis, brackets, phi, cutoff)
+    return OpFamily(spec, brackets, phi, cutoff)
 
 
 def higher_brackets_vanish(fam: OpFamily) -> bool:

@@ -449,19 +449,70 @@ def _sl2_with(key, value):
         ("basis", "hxy", "'basis'"),
         ("basis", ["h", "h", "y"], "'basis'"),
         ("extra op", {"name": "mu", "arity": 2, "entries": []}, "'mu' twice"),
+        ("extra op", {"name": ["mu"], "arity": 2, "entries": []}, "'name' is not a string"),
+        ("name", ["sl2"], "'name' is not a string"),
+        ("class", 5, "'class' is not a string"),
     ],
     ids=["ops-int", "entries-int", "alpha-int", "alpha-row-int", "unit-int",
-         "basis-string", "basis-repeated", "ops-repeated"],
+         "basis-string", "basis-repeated", "ops-repeated", "op-name-list",
+         "name-list", "class-int"],
 )
 def test_algebra_json_shapes_are_checked(capsys, tmp_path, key, value, named):
-    """An algebra file whose lists are not lists, whose basis is not a list
-    of distinct strings, or whose ops repeat a name, is a usage error naming
-    the file and the key."""
+    """An algebra file whose lists are not lists, whose names are not
+    strings, whose basis is not a list of distinct strings, or whose ops
+    repeat a name, is a usage error naming the file and the key."""
     path = tmp_path / "algebra.json"
     path.write_text(_sl2_with(key, value))
     code, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "lie")
     assert code == 2 and not out
     assert err.startswith(f"error: --algebra {path}: ") and err.count("\n") == 1
+    assert named in err
+
+
+def _lie_with(path, value):
+    """The JSON of the lie system with the value at path (keys and indices)
+    replaced."""
+    from homforge.homify import catalog, identity_system_to_json
+
+    data = identity_system_to_json(catalog("lie"))
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(data)
+
+
+_FIRST_TERM = ("identities", 0, "terms", 0)
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("identities",), 5, "'identities' is not a list"),
+        (("signature",), {"ops": 5}, "'ops' is not a list"),
+        (("signature", "ops", 0, "arity"), "2", "'arity' is not an integer"),
+        (("signature", "ops", 0, "arity"), True, "'arity' is not an integer"),
+        (("signature", "ops", 0, "name"), 5, "'name' is not a string"),
+        (("signature", "unitary"), "no", "'unitary' is not a boolean"),
+        (("hom_form",), "no", "'hom_form' is not a boolean"),
+        (("identities", 0, "terms"), 5, "'terms' is not a list"),
+        ((*_FIRST_TERM, "tree", 1), {"var": 5}, "'var' is not a string"),
+        ((*_FIRST_TERM, "tree", 0), 5, "op symbol is not a string"),
+    ],
+    ids=["identities-int", "ops-int", "arity-string", "arity-bool", "op-name-int",
+         "unitary-string", "hom-form-string", "terms-int", "var-int", "op-symbol-int"],
+)
+def test_identity_json_types_are_checked(capsys, tmp_path, path, value, named):
+    """An identity file whose lists are not lists, whose arities are not
+    integers, whose names are not strings or whose flags are not booleans is
+    a usage error naming the file and the key, not a traceback or a silent
+    coercion."""
+    ident_file = tmp_path / "identity.json"
+    ident_file.write_text(_lie_with(path, value))
+    code, out, err = run(capsys, "check", "--algebra", "sl2", "--identity", str(ident_file))
+    assert code == 2 and not out
+    assert err.startswith(f"error: --identity {ident_file}: ") and err.count("\n") == 1
     assert named in err
 
 

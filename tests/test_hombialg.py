@@ -399,7 +399,7 @@ def test_u_hom_alpha_zero_relations_collapse():
     """With alpha = 0 the ideal reduces to <xy - yx - [x,y]>."""
     sl2 = builtin_algebra("sl2").with_alpha(zero_matrix(3))
     fam = sabinin_from(sl2, "lie", cutoff=2)
-    rels = u_hom_relations(fam, sl2.alpha, 4)
+    rels = u_hom_relations(fam, 4)
     # q vanishes identically at alpha = 0, so only the commutator family remains
     assert len(rels) == 3
     for r in rels:
@@ -416,7 +416,7 @@ def _leaves(m):
 def test_u_hom_alpha_zero_sl2_dimensions():
     sl2 = builtin_algebra("sl2").with_alpha(zero_matrix(3))
     fam = sabinin_from(sl2, "lie", cutoff=2)
-    U = u_hom(fam, sl2.alpha, 4)
+    U = u_hom(fam, 4)
     # degree-1 dimension 3: pi is injective on L
     assert U.filtration_dim(1) == 3
     for i in range(3):
@@ -439,7 +439,7 @@ def test_commutative_magma_oracles_agree():
 def test_u_hom_report_shape():
     sl2 = builtin_algebra("sl2").with_alpha(zero_matrix(3))
     fam = sabinin_from(sl2, "lie", cutoff=1)
-    U = u_hom(fam, sl2.alpha, 3)
+    U = u_hom(fam, 3)
     report = U.report()
     assert set(report) == {1, 2, 3}
     dim, rank = report[2]
@@ -450,9 +450,9 @@ def test_u_hom_nonzero_alpha_smoke():
     """The enveloping quotient of a Hom-Lie algebra with a genuine twist."""
     spec = hom_version(builtin_algebra("sl2"))
     fam = sabinin_from(spec, "lie", cutoff=1)
-    U = u_hom(fam, spec.alpha, 3)
+    U = u_hom(fam, 3)
     # family 1 contributes associator-antisymmetry relations beyond degree 2
-    assert any(r.degree() == 3 for r in u_hom_relations(fam, spec.alpha, 3))
+    assert any(r.degree() == 3 for r in u_hom_relations(fam, 3))
     p = mul(Poly.gen("h"), Poly.gen("x")) - mul(Poly.gen("x"), Poly.gen("h"))
     bracket = Poly.gen("y", c=rat(2))  # [h,x] = sigma(2x) = 2y in the twist
     assert U.nf(p - bracket).is_zero()
@@ -460,14 +460,14 @@ def test_u_hom_nonzero_alpha_smoke():
     assert U.nf(U.nf(q)) == U.nf(q)  # reduction is idempotent
     # a degree bound the family cannot supply is an error, not a truncation
     with pytest.raises(BoundsError):
-        u_hom(fam, spec.alpha, 4)
+        u_hom(fam, 4)
 
 
 def _direct_u_hom_relations(fam, alpha, degree_bound):
     """The enveloping relations in u_hom_relations's order, from QSolver run
     on the basis letters themselves: no template and no renaming."""
-    basis, s = fam.basis, QSolver()
-    spec = AlgebraSpec(fam.dim, basis, {}, alpha)
+    basis, dim, s = fam.spec.basis, fam.spec.dim, QSolver()
+    spec = AlgebraSpec(dim, basis, {}, alpha)
 
     def vec(v):
         return Poly({Leaf(basis[i], 0): c for i, c in v.items()})
@@ -476,18 +476,18 @@ def _direct_u_hom_relations(fam, alpha, degree_bound):
         return tuple(basis[i] for i in idx)
 
     out = []
-    for a in range(fam.dim):
-        for b in range(a, fam.dim):
+    for a in range(dim):
+        for b in range(a, dim):
             ga, gb = V(basis[a]), V(basis[b])
             out.append(mul(ga, gb) - mul(gb, ga) + vec(fam.brackets[0].basis_value((a, b))))
     for n in range(1, min(fam.cutoff, degree_bound - 2) + 1):
-        for idx in itertools.product(range(fam.dim), repeat=n + 2):
+        for idx in itertools.product(range(dim), repeat=n + 2):
             if idx[-2] < idx[-1]:
                 q = s.bracket(word(idx[:-2]), basis[idx[-2]], basis[idx[-1]])
                 out.append(vec(fam.brackets[n].basis_value(idx)) - expand_exponents(q, spec))
     for (n, m), op in fam.phi.items():
         if n + m <= degree_bound:
-            for idx in itertools.product(range(fam.dim), repeat=n + m):
+            for idx in itertools.product(range(dim), repeat=n + m):
                 q = s.phi(word(idx[:n]), word(idx[n:]))
                 out.append(vec(op.basis_value(idx)) - expand_exponents(q, spec))
     return [r for r in out if not r.is_zero()]
@@ -499,7 +499,7 @@ def test_u_hom_relations_match_q_on_basis_letters(name, cls):
     including the words that repeat a basis letter."""
     spec = hom_version(builtin_algebra(name))
     fam = yiii_hom(spec, 2) if cls == "yiii" else sabinin_from(spec, cls, 2)
-    rels = u_hom_relations(fam, spec.alpha, 4)
+    rels = u_hom_relations(fam, 4)
     assert rels == _direct_u_hom_relations(fam, spec.alpha, 4)
 
 
@@ -583,9 +583,9 @@ def test_expand_exponents_matches_node_by_node_expansion(case):
 def test_ideal_coproduct_membership_alpha_zero():
     sl2 = builtin_algebra("sl2").with_alpha(zero_matrix(3))
     fam = sabinin_from(sl2, "lie", cutoff=1)
-    rels = u_hom_relations(fam, sl2.alpha, 2)
-    U = u_hom(fam, sl2.alpha, 2)
-    report = check_ideal_coproduct(U, rels, sl2.basis, sl2.alpha)
+    rels = u_hom_relations(fam, 2)
+    U = u_hom(fam, 2)
+    report = check_ideal_coproduct(U, rels, sl2)
     assert report.ok
 
 
@@ -594,12 +594,11 @@ def test_check_bialgebra_umbrella():
 
     sl2 = builtin_algebra("sl2").with_alpha(zero_matrix(3))
     fam = sabinin_from(sl2, "lie", cutoff=1)
-    rels = u_hom_relations(fam, sl2.alpha, 2)
-    U = u_hom(fam, sl2.alpha, 2)
+    rels = u_hom_relations(fam, 2)
+    U = u_hom(fam, 2)
     monos = [mono(s) for s in ["x", "(x*y)", "((x*y)*z)"]]
     report = check_bialgebra(
-        monomials=monos, quotient=U, generators=rels,
-        basis=sl2.basis, alpha=sl2.alpha,
+        monomials=monos, quotient=U, generators=rels, spec=sl2,
     )
     assert report.ok
     names = [n for n, _ in report.checks]

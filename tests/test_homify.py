@@ -325,7 +325,7 @@ def test_hsab4_instances():
 
 
 def test_sabinin_axiom_instance_labels():
-    labels = [l for l, _ in sabinin_axiom_instances(1, m=2)]
+    labels = [l for l, _ in sabinin_axiom_instances(1, ms=[2])]
     assert "Hsab1[n=1]" in labels
     assert "Hsab2[p=0,q=1]" in labels and "Hsab2[p=1,q=0]" in labels
     assert "Hsab3[n=1]" in labels

@@ -268,4 +268,4 @@ def test_yiii_sabinin_axioms_on_catalog():
             else hom_version(builtin_algebra(name))
         )
         fam = yiii_hom(spec, 2)
-        assert check_sabinin_axioms(fam, spec, 1).ok, name
+        assert check_sabinin_axioms(fam, 1).ok, name
