@@ -349,10 +349,6 @@ def apply_alpha(p: Poly, k: int) -> Poly:
 Word = Tuple[str, ...]
 
 
-def word(letters: Iterable[str]) -> Word:
-    return tuple(letters)
-
-
 def unshuffle(w: Word) -> Dict[Tuple[Word, Word], object]:
     """All ordered splittings of w into two complementary subwords.
 

@@ -284,6 +284,8 @@ class AlgebraSpec:
         basis = json_field(data, "basis", list, FdalgError, "algebra JSON")
         if not all(isinstance(b, str) for b in basis) or len(set(basis)) != len(basis):
             raise FdalgError(f"'basis' is not a list of distinct strings: {basis!r}")
+        if len(basis) != dim:
+            raise FdalgError(f"'dim' is {dim} but 'basis' has {len(basis)} letters")
         ops = {}
         for o in json_field(data, "ops", list, FdalgError, "algebra JSON"):
             name = json_field(o, "name", str, FdalgError, "an operation")

@@ -434,16 +434,6 @@ class FreeHomAssocQuotient:
     def monomials_of_degree(self, n: int) -> List[Monomial]:
         return _monomials(self.generators, n, self.exp_bound)
 
-    def degree_report(self, n: int) -> Tuple[int, int]:
-        """(quotient dimension, relation rank) of the degree-n piece."""
-        signatures = set()
-        count = 0
-        for m in self.monomials_of_degree(n):
-            signatures.add(phi_signature(m))
-            count += 1
-        rank = sum(self.component(sig).rank for sig in signatures)
-        return count - rank, rank
-
 
 @dataclass
 class AntipodeResult:
@@ -565,8 +555,11 @@ class FilteredQuotient:
     """K{S} monomials of degree <= d modulo (possibly inhomogeneous) relations.
 
     Relations are closed under multiplication by monomials within the degree
-    bound and row-reduced with a degree-dominant column order, so rows whose
-    pivot sits in degree <= k span exactly the computed ideal section there.
+    bound (a relation met twice, as a set of terms, is closed once) and
+    row-reduced with a degree-dominant column order, so rows whose pivot
+    sits in degree <= k span exactly the computed ideal section there. The
+    reduced rows are kept as primitive integer rows, the q weights
+    1/(n! m!) cleared on entry; nf divides once and returns exact rationals.
     """
 
     def __init__(self, basis: Sequence[str], relations: Sequence[Poly], degree_bound: int):
@@ -645,6 +638,13 @@ def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     is a table value minus a symbolic template, one per shape on fixed
     letters, with the basis letters substituted and expanded through the
     family's twisting map.
+
+    Phi words are taken one per orbit: u and v each as a sorted multiset of
+    basis indices. Phi is symmetric in its u arguments and in its v
+    arguments (a Sabinin axiom; the yiii tables average over both
+    permutation groups) and so is the q-average, so a permuted word gives
+    the same relation. Bracket words are all taken, q not being symmetric
+    in u.
     """
     spec = fam.spec
     basis, dim = spec.basis, spec.dim
@@ -669,7 +669,12 @@ def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
         if n + m <= degree_bound:
             letters = tuple(f"u{i}" for i in range(n)) + tuple(f"v{j}" for j in range(m))
             template = solver.phi(letters[:n], letters[n:])
-            relate(phi_op, template, letters, itertools.product(range(dim), repeat=n + m))
+            words = (
+                u + v
+                for u in itertools.combinations_with_replacement(range(dim), n)
+                for v in itertools.combinations_with_replacement(range(dim), m)
+            )
+            relate(phi_op, template, letters, words)
     return relations
 
 

@@ -1,20 +1,47 @@
 """Exact rational row reduction over sparse dict-keyed rows.
 
 Rows are dicts mapping arbitrary hashable column keys to rational
-coefficients. A RowSpace keeps an echelonized basis (one pivot per row,
-pivots eliminated everywhere else), which is all the kernel/membership
-machinery the bounded quotients need. Every coefficient it stores or
-returns is normalized by rat(): an integral one is an int, so integral
-rows (binomial relations above all) stay on int arithmetic.
+coefficients. A RowSpace keeps a fully reduced echelon basis (one pivot per
+row, pivots eliminated everywhere else), which is all the kernel/membership
+machinery the bounded quotients need.
+
+The basis is stored fraction-free: each row is a primitive row of ints (its
+entries have gcd 1) with a positive pivot coefficient. An incoming row has
+its denominators cleared once, is eliminated by integer combinations
+(Bareiss, Math. Comp. 22, 1968), and the accumulated scale is divided out
+once at the boundary, so every residual returned is the exact rational one,
+normalized by rat(): an integral coefficient is an int. Rows whose pivots are
+1 (binomial relations above all) take no gcd and no scaling at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from math import gcd, lcm
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
-from .rationals import inverse, rat
+from .rationals import rat
 
 Row = Dict[Hashable, object]
+
+
+def _integral(row: Row) -> Tuple[Dict[Hashable, int], int]:
+    """(d * row as a new int row without its zero entries, d), d the least
+    common denominator of the entries: 1, with no lcm taken, on an int row."""
+    # the sum, taken in C, is an int only when every entry is: adding a
+    # non-int rational to an int never gives an int
+    if type(sum(row.values())) is int:
+        out = dict(row)
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return out, 1
+    d = 1
+    for c in row.values():
+        if type(c) is not int:
+            d = lcm(d, int(c.denominator))
+    return {
+        k: c * d if type(c) is int else int(c.numerator) * (d // int(c.denominator))
+        for k, c in row.items() if c
+    }, d
 
 
 class RowSpace:
@@ -25,7 +52,7 @@ class RowSpace:
 
     def __init__(self, key: Optional[Callable] = None):
         self.key = key
-        self.rows: Dict[Hashable, Row] = {}  # pivot -> normalized row
+        self.rows: Dict[Hashable, Dict[Hashable, int]] = {}  # pivot -> primitive int row
         # column -> pivots of the stored rows holding it, pivot columns
         # excluded; kept exact so add touches only the rows it must change
         self._holders: Dict[Hashable, Set[Hashable]] = {}
@@ -37,20 +64,34 @@ class RowSpace:
     def reduce(self, row: Row) -> Row:
         """Reduce row against the span; returns the residual (a new dict).
 
-        One pass suffices: a stored row holds no other row's pivot, so
-        subtracting it brings in no pivot and changes no other pivot's
-        coefficient.
+        The row's denominators are cleared and each stored pivot eliminated
+        by an integer combination; the accumulated scale is divided out once
+        at the end. One pass suffices: a stored row holds no other row's
+        pivot, so subtracting it brings in no pivot and changes no other
+        pivot's coefficient.
         """
-        out = {k: rat(c) for k, c in row.items() if c != 0}
-        for piv in [k for k in out if k in self.rows]:
-            c = out[piv]
-            for k, bc in self.rows[piv].items():
-                s = out.get(k, 0) - c * bc
-                if s == 0:
-                    out.pop(k, None)
+        w, s = _integral(row)
+        rows = self.rows
+        for piv in [k for k in w if k in rows]:
+            stored = rows[piv]
+            c = w[piv]
+            p = stored[piv]
+            if p != 1:
+                # w <- (p/g) w - (c/g) stored, g = gcd(p, c)
+                g = gcd(p, c)
+                c //= g
+                a = p // g
+                if a != 1:
+                    s *= a
+                    for k in w:
+                        w[k] *= a
+            for k, bc in stored.items():
+                v = w.get(k, 0) - c * bc
+                if v:
+                    w[k] = v
                 else:
-                    out[k] = s if type(s) is int else rat(s)
-        return out
+                    del w[k]
+        return w if s == 1 else {k: rat(c, s) for k, c in w.items()}
 
     def add(self, row: Row) -> Row:
         """Insert a row; returns the residual (zero dict if dependent)."""
@@ -58,14 +99,14 @@ class RowSpace:
         if not res:
             return res
         piv = max(res, key=self.key) if self.key else max(res)
-        p = res[piv]
-        if p == 1:
-            norm = dict(res)
-        elif p == -1:
-            norm = {k: -c for k, c in res.items()}
-        else:
-            inv = inverse(p)
-            norm = {k: rat(c * inv) for k, c in res.items()}
+        # the stored row: the residual as a primitive int row, pivot positive
+        norm, _ = _integral(res)
+        g = norm[piv]
+        if g != 1 and g != -1:
+            g = gcd(*norm.values()) if g > 0 else -gcd(*norm.values())
+        if g != 1:
+            norm = {k: c // g for k, c in norm.items()}
+        p = norm[piv]
         holders = self._holders
         touched = holders.pop(piv, ())
         for k in norm:
@@ -76,22 +117,31 @@ class RowSpace:
         for other_piv in touched:
             other = self.rows[other_piv]
             c = other[piv]
+            if p != 1:
+                g = gcd(p, c)
+                c //= g
+                a = p // g
+                if a != 1:
+                    for k in other:
+                        other[k] *= a
             for k, bc in norm.items():
-                s = other.get(k, 0) - c * bc
-                if s == 0:
+                v = other.get(k, 0) - c * bc
+                if v == 0:
                     del other[k]
                     if k != piv:
                         holders[k].discard(other_piv)
                 else:
                     if k not in other:
                         holders[k].add(other_piv)
-                    other[k] = s if type(s) is int else rat(s)
+                    other[k] = v
+            # the content divides the untouched pivot coefficient
+            if other[other_piv] != 1:
+                g = gcd(*other.values())
+                if g != 1:
+                    for k in other:
+                        other[k] //= g
         self.rows[piv] = norm
         return res
-
-    def add_all(self, rows: Iterable[Row]) -> None:
-        for r in rows:
-            self.add(r)
 
     def pivots(self) -> List[Hashable]:
         return list(self.rows)

@@ -177,8 +177,3 @@ def yiii_hom(spec: AlgebraSpec, cutoff: int) -> OpFamily:
         for m in range(2, cutoff + 2 - n)
     }
     return OpFamily(spec, brackets, phi, cutoff)
-
-
-def higher_brackets_vanish(fam: OpFamily) -> bool:
-    """Whether <u; a, b> is the zero operation for every 1 <= |u| <= cutoff."""
-    return all(fam.brackets[n].is_zero() for n in range(1, fam.cutoff + 1))

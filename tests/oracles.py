@@ -89,3 +89,13 @@ def all_binary_monomials(generators, degree):
         for bases in itertools.product(generators, repeat=degree):
             out.append(build(shape, iter(bases)))
     return out
+
+
+def pbw_dims(dim: int, max_degree: int) -> dict:
+    """Graded dimensions of a polynomial algebra on dim generators, the PBW
+    answer for an enveloping algebra: the number of distinct commutative
+    monomials of each degree, counted as words modulo reordering."""
+    return {
+        d: len({tuple(sorted(w)) for w in itertools.product(range(dim), repeat=d)})
+        for d in range(1, max_degree + 1)
+    }

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from oracles import pbw_dims
+
 from homforge.cli import main
 
 
@@ -159,6 +161,46 @@ def test_envelope_alpha_zero(capsys):
     doc = json.loads(out)
     assert doc["degrees"]["1"] == [3, 0]
     assert doc["degrees"]["2"] == [6, 3]
+
+
+def _envelope_dims(capsys, *argv):
+    code, out, _ = run(capsys, "envelope", *argv, "--degree", "4", "--json")
+    assert code == 0
+    return {int(k): dim for k, (dim, _) in json.loads(out)["degrees"].items()}
+
+
+_ALPHAS = [["--twist", "bundled"], []]  # the Yau twist, or the stored alpha as it is
+
+
+def test_pbw_dims_enumerate_commutative_monomials():
+    assert pbw_dims(3, 4) == {1: 3, 2: 6, 3: 10, 4: 15}
+    assert pbw_dims(2, 5) == {1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
+
+
+@pytest.mark.parametrize("twist", _ALPHAS, ids=["twisted", "stored"])
+@pytest.mark.parametrize("algebra", ["sl2", "abelian3"])
+def test_lie_envelope_has_pbw_dims(capsys, algebra, twist):
+    """Observed, not a theorem applied: the Hom-Lie envelopes of the bundled
+    Lie algebras, twisted by or paired with their invertible alpha, have
+    the graded dimensions of a polynomial algebra up to degree 4."""
+    assert _envelope_dims(capsys, "--algebra", algebra, *twist, "--class", "lie") == pbw_dims(3, 4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 1: envelope builds the yiii Phi tables to n + m <= degree - 1 "
+        "and drops the top-degree Phi relations, so degree 4 has dimension 81, not 15"
+    ),
+)
+def test_yiii_envelope_has_pbw_dims(capsys):
+    """The same known answer for yiii envelopes of heis3, k3prod and
+    abelian3, twisted or with the stored alpha."""
+    got = {
+        (algebra, *twist): _envelope_dims(capsys, "--algebra", algebra, *twist, "--class", "yiii")
+        for algebra in ("heis3", "k3prod", "abelian3") for twist in _ALPHAS
+    }
+    assert got == {case: pbw_dims(3, 4) for case in got}
 
 
 def test_antipode_cli(capsys):
@@ -452,15 +494,19 @@ def _sl2_with(key, value):
         ("extra op", {"name": ["mu"], "arity": 2, "entries": []}, "'name' is not a string"),
         ("name", ["sl2"], "'name' is not a string"),
         ("class", 5, "'class' is not a string"),
+        # checked before any op entry, which would otherwise be blamed
+        ("dim", 2, "'dim' is 2 but 'basis' has 3 letters"),
+        ("dim", 4, "'dim' is 4 but 'basis' has 3 letters"),
     ],
     ids=["ops-int", "entries-int", "alpha-int", "alpha-row-int", "unit-int",
          "basis-string", "basis-repeated", "ops-repeated", "op-name-list",
-         "name-list", "class-int"],
+         "name-list", "class-int", "dim-below-basis", "dim-above-basis"],
 )
 def test_algebra_json_shapes_are_checked(capsys, tmp_path, key, value, named):
     """An algebra file whose lists are not lists, whose names are not
-    strings, whose basis is not a list of distinct strings, or whose ops
-    repeat a name, is a usage error naming the file and the key."""
+    strings, whose basis is not a list of distinct strings, whose dim is not
+    the basis size, or whose ops repeat a name, is a usage error naming the
+    file and the key."""
     path = tmp_path / "algebra.json"
     path.write_text(_sl2_with(key, value))
     code, out, err = run(capsys, "check", "--algebra", str(path), "--identity", "lie")

@@ -29,7 +29,6 @@ from homforge.expr import (
     poly_to_json,
     render_poly,
     unshuffle,
-    word,
 )
 from homforge.rationals import rat
 
@@ -112,7 +111,7 @@ def _unshuffle_oracle(w):
 
 @pytest.mark.parametrize("letters", ["x", "xy", "xyz", "wxyz", "vwxyz", "xxy", "xyxz"])
 def test_unshuffle_matches_iterated_coproduct(letters):
-    w = word(letters)
+    w = tuple(letters)
     assert unshuffle(w) == _unshuffle_oracle(w)
 
 

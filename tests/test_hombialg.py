@@ -21,15 +21,24 @@ from homforge.expr import (
     UNIT,
     alpha_mono,
     apply_op,
+    collect,
     leaves,
     map_leaves,
     mono_key,
     mul,
     mul_mono,
     parse_poly,
+    rename_leaves,
     render_poly,
 )
-from homforge.fdalg import AlgebraSpec, builtin_algebra, hom_version, sabinin_from, zero_matrix
+from homforge.fdalg import (
+    AlgebraSpec,
+    MultilinearOp,
+    builtin_algebra,
+    hom_version,
+    sabinin_from,
+    zero_matrix,
+)
 from homforge.hombialg import (
     _PhiComponent,
     _build_from_shape,
@@ -360,9 +369,16 @@ def test_quotient_kills_hom_associativity_generator():
     assert q.nf(q.nf(p)) == q.nf(p)
 
 
+def _degree_report(q, n):
+    """(quotient dimension, relation rank) of the degree-n piece of q."""
+    monos = q.monomials_of_degree(n)
+    rank = sum(q.component(sig).rank for sig in {phi_signature(m) for m in monos})
+    return len(monos) - rank, rank
+
+
 def test_quotient_degree_two_has_no_relations():
     q = FreeHomAssocQuotient(("x", "y"), 3, 2)
-    dim, rank = q.degree_report(2)
+    dim, rank = _degree_report(q, 2)
     assert rank == 0
     # 1 shape, 2^2 letter choices, 3^2 exponent choices
     assert dim == 4 * 9
@@ -464,8 +480,8 @@ def test_u_hom_nonzero_alpha_smoke():
 
 
 def _direct_u_hom_relations(fam, alpha, degree_bound):
-    """The enveloping relations in u_hom_relations's order, from QSolver run
-    on the basis letters themselves: no template and no renaming."""
+    """The enveloping relations from QSolver run on the basis letters
+    themselves, over every word: no template, no renaming and no orbits."""
     basis, dim, s = fam.spec.basis, fam.spec.dim, QSolver()
     spec = AlgebraSpec(dim, basis, {}, alpha)
 
@@ -493,14 +509,54 @@ def _direct_u_hom_relations(fam, alpha, degree_bound):
     return [r for r in out if not r.is_zero()]
 
 
+def _term_sets(relations):
+    return {frozenset(r.terms.items()) for r in relations}
+
+
 @pytest.mark.parametrize("name, cls", [("sl2", "lie"), ("heis3", "yiii")])
 def test_u_hom_relations_match_q_on_basis_letters(name, cls):
-    """Relations from the per-shape templates equal those computed directly,
-    including the words that repeat a basis letter."""
+    """Relations from the per-shape templates, one per Phi orbit, are the
+    distinct relations computed directly over every word, including the
+    words that repeat a basis letter."""
     spec = hom_version(builtin_algebra(name))
     fam = yiii_hom(spec, 2) if cls == "yiii" else sabinin_from(spec, cls, 2)
     rels = u_hom_relations(fam, 4)
-    assert rels == _direct_u_hom_relations(fam, spec.alpha, 4)
+    assert _term_sets(rels) == _term_sets(_direct_u_hom_relations(fam, spec.alpha, 4))
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 2)])
+def test_phi_template_is_symmetric_in_u_and_in_v(n, m):
+    """Permuting the u letters, or the v letters, leaves the Phi template
+    unchanged: the fact that lets u_hom_relations take one word per orbit."""
+    s = QSolver()
+    u = tuple(f"u{i}" for i in range(n))
+    v = tuple(f"v{j}" for j in range(m))
+    template = s.phi(u, v)
+    assert not template.is_zero()
+    for su in itertools.permutations(u):
+        for sv in itertools.permutations(v):
+            assert s.phi(su, sv) == template, (su, sv)
+            renamed = dict(zip(u + v, su + sv))
+            assert collect(
+                (rename_leaves(mono, renamed), c) for mono, c in template.terms.items()
+            ) == template.terms, (su, sv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.sampled_from(["yiii", "lie"]),
+)
+def test_u_hom_relations_match_every_word_for_random_alpha(entries, cls):
+    """On the zero product every alpha is multiplicative and Hom-Lie, so a
+    random alpha twists the q templates arbitrarily. Cutoff 3 and degree 4
+    reach the Phi shapes (1, 2), (1, 3) and (2, 2)."""
+    alpha = (tuple(entries[:2]), tuple(entries[2:]))
+    spec = AlgebraSpec(2, ("p", "q"), {"mu": MultilinearOp.zero("mu", 2, 2)}, alpha)
+    fam = yiii_hom(spec, 3) if cls == "yiii" else sabinin_from(spec, cls, 3)
+    assert {(1, 2), (1, 3), (2, 2)} <= set(fam.phi)
+    rels = u_hom_relations(fam, 4)
+    assert _term_sets(rels) == _term_sets(_direct_u_hom_relations(fam, alpha, 4))
 
 
 def test_substitution_sums_colliding_monomials():

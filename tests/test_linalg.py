@@ -1,5 +1,6 @@
 """Property tests for exact sparse row reduction."""
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homforge.expr import parse_poly
 from homforge.hombialg import FreeHomAssocQuotient, check_antipode
+from homforge import linalg
 from homforge.linalg import RowSpace
 from homforge.rationals import rat
 
@@ -19,7 +21,8 @@ sparse_rows = st.dictionaries(st.integers(0, COLUMNS - 1), entries, max_size=4)
 @given(st.lists(sparse_rows, min_size=1, max_size=8), st.lists(sparse_rows, max_size=4))
 def test_rowspace_rank_and_residuals(rows, probes):
     space = RowSpace()
-    space.add_all(rows)
+    for row in rows:
+        space.add(row)
     dense = sympy.Matrix(
         [[sympy.Rational(str(row.get(k, 0))) for k in range(COLUMNS)] for row in rows]
     )
@@ -38,11 +41,14 @@ binomial_rows = (
 
 
 def _check_invariants(space):
-    """Pivots are normalised maxima, no row holds another pivot, and the
-    column index is exactly the column -> rows map of the stored rows."""
+    """Stored rows are primitive int rows with a positive pivot at their
+    maximum, no row holds another pivot, and the column index is exactly the
+    column -> rows map of the stored rows."""
     holders = {}
     for piv, row in space.rows.items():
-        assert row[piv] == 1 and max(row, key=space.key) == piv
+        assert all(type(c) is int and c != 0 for c in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert row[piv] > 0 and max(row, key=space.key) == piv
         assert not (set(row) - {piv}) & set(space.rows)
         for k in row:
             if k != piv:
@@ -59,33 +65,66 @@ def _check_invariants(space):
 # the second row cancels both non-pivot entries of the first
 @example(list(range(COLUMNS)), [{2: rat(1), 1: rat(1), 0: rat(1)}, {1: rat(1), 0: rat(1)}], [])
 def test_rowspace_matches_sympy_rref(order, rows, probes):
-    """Stored rows and residuals agree with sympy's reduced echelon form,
-    taken with the columns sorted by decreasing key (the pivot is the
-    column of maximal key)."""
+    """Stored rows, each divided by its pivot, and residuals agree with
+    sympy's reduced echelon form, taken with the columns sorted by
+    decreasing key (the pivot is the column of maximal key)."""
     rank_of = {k: r for r, k in enumerate(order)}
     space = RowSpace(key=rank_of.__getitem__)
     for row in rows:
         space.add(row)
         _check_invariants(space)
-    cols = sorted(range(COLUMNS), key=rank_of.__getitem__, reverse=True)
+    echelon = _sympy_echelon(rows, sorted(range(COLUMNS), key=rank_of.__getitem__, reverse=True))
+    assert {p: {k: sympy.Rational(c, row[p]) for k, c in row.items()}
+            for p, row in space.rows.items()} == echelon
+    for probe in rows + probes:
+        got = {k: sympy.Rational(str(c)) for k, c in space.reduce(probe).items()}
+        assert got == _sympy_residual(echelon, probe)
+
+
+def _sympy_echelon(rows, cols):
+    """sympy's reduced echelon form of rows over the column order cols, as
+    {pivot column: {column: entry}}."""
+    if not rows:
+        return {}
     dense = sympy.Matrix(
         [[sympy.Rational(str(row.get(k, 0))) for k in cols] for row in rows]
     )
     rref, pivot_positions = dense.rref()
-    echelon = {}
-    for i, p in enumerate(pivot_positions):
-        echelon[cols[p]] = {cols[j]: rref[i, j] for j in range(COLUMNS) if rref[i, j] != 0}
-    assert {p: {k: sympy.Rational(str(c)) for k, c in row.items()}
-            for p, row in space.rows.items()} == echelon
-    for probe in rows + probes:
-        want = {k: sympy.Rational(str(c)) for k, c in probe.items()}
-        for p, erow in echelon.items():
-            c = want.get(p, 0)
-            for k, e in erow.items():
-                want[k] = want.get(k, 0) - c * e
-        want = {k: c for k, c in want.items() if c != 0}
-        got = {k: sympy.Rational(str(c)) for k, c in space.reduce(probe).items()}
-        assert got == want
+    return {
+        cols[p]: {cols[j]: rref[i, j] for j in range(len(cols)) if rref[i, j] != 0}
+        for i, p in enumerate(pivot_positions)
+    }
+
+
+def _sympy_residual(echelon, probe):
+    want = {k: sympy.Rational(str(c)) for k, c in probe.items()}
+    for p, erow in echelon.items():
+        c = want.get(p, 0)
+        for k, e in erow.items():
+            want[k] = want.get(k, 0) - c * e
+    return {k: c for k, c in want.items() if c != 0}
+
+
+fractional_rows = st.dictionaries(
+    st.integers(0, COLUMNS - 1), st.builds(rat, st.integers(-7, 7), st.integers(1, 12)),
+    min_size=1, max_size=COLUMNS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.permutations(range(COLUMNS)), st.lists(fractional_rows, min_size=1, max_size=8))
+def test_add_returns_the_exact_rational_residual(order, rows):
+    """add clears denominators and eliminates in integers, yet returns each
+    row's exact residual against the rows before it, as sympy computes it."""
+    rank_of = {k: r for r, k in enumerate(order)}
+    cols = sorted(range(COLUMNS), key=rank_of.__getitem__, reverse=True)
+    space = RowSpace(key=rank_of.__getitem__)
+    for i, row in enumerate(rows):
+        res = space.add(row)
+        _assert_exact(res)
+        got = {k: sympy.Rational(str(c)) for k, c in res.items()}
+        assert got == _sympy_residual(_sympy_echelon(rows[:i], cols), row)
+        _check_invariants(space)
 
 
 def _assert_exact(row):
@@ -110,12 +149,19 @@ def test_rowspace_keeps_integral_coefficients_as_ints(rows, probes):
         _assert_exact(space.reduce(probe))
 
 
-def test_binomial_component_rows_are_ints():
+def test_binomial_component_rows_are_ints(monkeypatch):
     """The antipode quotient's Hom-associativity rows are +-1 binomials, so
-    their echelon form stays on int arithmetic: the component that the
-    antipode check of (a*b)*(c*d) reduces in."""
+    their echelon form stays on int arithmetic with pivots 1, and is built
+    with no gcd, lcm or scaling: the component that the antipode check of
+    (a*b)*(c*d) reduces in."""
+    def forbidden(*args):
+        raise AssertionError(f"gcd/lcm called on a pivot-1 row: {args}")
+
+    monkeypatch.setattr(linalg, "gcd", forbidden)
+    monkeypatch.setattr(linalg, "lcm", forbidden)
     q = FreeHomAssocQuotient(("a", "b", "c", "d"), 4, 8)
     assert check_antipode(parse_poly("(a*b)*(c*d)").sorted_terms()[0][0], quotient=q).ok
     comp = q.component((("a", 4), ("b", 4), ("c", 4), ("d", 4)))
     assert (len(comp.monomials), comp.rank) == (120, 96)
     assert all(type(c) is int for row in comp.space.rows.values() for c in row.values())
+    assert all(row[p] == 1 for p, row in comp.space.rows.items())

@@ -17,7 +17,6 @@ from homforge.homify import catalog, hom_associator
 from homforge.qops import (
     NumericQSolver,
     QSolver,
-    higher_brackets_vanish,
     q_symbolic,
     yiii_hom,
 )
@@ -206,6 +205,11 @@ def test_numeric_q_matches_printed_formulas(name):
             want = eval_poly(spec, formula, assignment)
             got = solver.q(idx[: len(u)], idx[len(u) : -1], idx[-1])
             assert got == want, (u, v, idx)
+
+
+def higher_brackets_vanish(fam):
+    """Whether <u; a, b> is the zero operation for every 1 <= |u| <= cutoff."""
+    return all(fam.brackets[n].is_zero() for n in range(1, fam.cutoff + 1))
 
 
 def test_yiii_abelian_all_zero():
