@@ -313,17 +313,17 @@ class _PhiComponent:
                         self.truncated = True
                     else:
                         self.monomials.append(_build_from_shape(shape, iter(lvs)))
+        # the columns are positions in mono_key order, which the pivots follow
         self.monomials.sort(key=mono_key)
-        # the pivot order is mono_key's, read off each monomial's position
-        position = {m: i for i, m in enumerate(self.monomials)}
-        self.space = RowSpace(key=position.__getitem__)
+        self._position = position = {m: i for i, m in enumerate(self.monomials)}
+        self.space = RowSpace()
         # A rewrite keeps the phi signature and non-negative exponents, so a
         # target that is not a member is a tree the enumeration met with no
         # negative exponent and one above the bound: truncated is already set.
-        for m in self.monomials:
+        for i, m in enumerate(self.monomials):
             for m2 in self._rewrites(m):
                 if m2 in position:
-                    self.space.add({m: ONE, m2: -ONE})
+                    self.space.add({i: ONE, position[m2]: -ONE})
 
     def _rewrites(self, m: Monomial) -> List[Monomial]:
         """Every alpha(A)(BC) -> (AB)alpha(C) rewrite of one subtree of m.
@@ -361,7 +361,8 @@ class _PhiComponent:
         return self.space.rank
 
     def reduce(self, terms: Dict[Monomial, object]) -> Dict[Monomial, object]:
-        return self.space.reduce(terms)
+        res = self.space.reduce({self._position[m]: c for m, c in terms.items()})
+        return {self.monomials[i]: c for i, c in res.items()}
 
 
 @dataclass
@@ -554,25 +555,38 @@ def _vector_poly(v: Vector, basis: Sequence[str]) -> Poly:
 class FilteredQuotient:
     """K{S} monomials of degree <= d modulo (possibly inhomogeneous) relations.
 
-    Relations are closed under multiplication by monomials within the degree
-    bound (a relation met twice, as a set of terms, is closed once) and
-    row-reduced with a degree-dominant column order, so rows whose pivot
-    sits in degree <= k span exactly the computed ideal section there. The
-    reduced rows are kept as primitive integer rows, the q weights
-    1/(n! m!) cleared on entry; nf divides once and returns exact rationals.
+    S is the basis of spec, the algebra of the relations. They are closed
+    under multiplication by monomials within the degree bound (a relation
+    met twice, as a set of terms, is closed once) and row-reduced over
+    columns numbered in mono_key order, which is degree-dominant: rows whose
+    pivot sits in degree <= k span exactly the computed ideal section there.
+    The rows are primitive integer rows, the q weights 1/(n! m!) cleared on
+    entry; nf divides once, returns exact rationals, and rejects a monomial
+    outside the quotient (the unit, a twisted leaf, a letter outside S).
     """
 
-    def __init__(self, basis: Sequence[str], relations: Sequence[Poly], degree_bound: int):
-        self.basis = tuple(basis)
+    def __init__(self, spec: AlgebraSpec, relations: Sequence[Poly], degree_bound: int):
+        self.spec = spec
         self.degree_bound = degree_bound
-        self._monos = {n: _monomials(self.basis, n, 0) for n in range(1, degree_bound + 1)}
+        self._monos = {n: _monomials(spec.basis, n, 0) for n in range(1, degree_bound + 1)}
+        # column -> monomial and back: every monomial numbered once
+        self._columns = sorted(itertools.chain(*self._monos.values()), key=mono_key)
+        self._position = {m: i for i, m in enumerate(self._columns)}
         rows = self._closure([r for r in relations if not r.is_zero()])
-        self.space = RowSpace(key=mono_key)
+        self.space = RowSpace()
         for r in rows:
-            self.space.add(dict(r.terms))
+            self.space.add(self._numbered(r))
         # pivots per degree; the degree-dominant order makes the ones in
         # degree k the relation rank there
-        self._ranks = Counter(degree(piv) for piv in self.space.rows)
+        self._ranks = Counter(degree(self._columns[piv]) for piv in self.space.rows)
+
+    def _numbered(self, p: Poly) -> Dict[int, object]:
+        try:
+            return {self._position[m]: c for m, c in p.terms.items()}
+        except KeyError as e:
+            m = render_mono(e.args[0], top=True)
+            raise BoundsError(f"{m} is outside the quotient: degree 1 to {self.degree_bound} "
+                              f"over {self.spec.basis}, untwisted") from None
 
     def _closure(self, relations: Sequence[Poly]) -> List[Poly]:
         seen = set()
@@ -597,10 +611,8 @@ class FilteredQuotient:
         return list(self._monos[n])
 
     def nf(self, p: Poly) -> Poly:
-        for m in p.terms:
-            if degree(m) > self.degree_bound:
-                raise BoundsError("element exceeds the degree bound")
-        return Poly(self.space.reduce(dict(p.terms)))
+        res = self.space.reduce(self._numbered(p))
+        return Poly({self._columns[i]: c for i, c in res.items()})
 
     def _graded_dim(self, k: int) -> int:
         return len(self._monos[k]) - self._ranks[k]
@@ -689,12 +701,12 @@ def u_hom(fam: OpFamily, degree_bound: int) -> FilteredQuotient:
             f"family cutoff {fam.cutoff} cannot supply bracket relations "
             f"up to degree {degree_bound}; need cutoff >= {degree_bound - 2}"
         )
-    return FilteredQuotient(fam.spec.basis, u_hom_relations(fam, degree_bound), degree_bound)
+    return FilteredQuotient(fam.spec, u_hom_relations(fam, degree_bound), degree_bound)
 
 
 def pi_map(quotient: FilteredQuotient, basis_index: int) -> Poly:
     """The unit map pi(s) = nf(s) on a generator."""
-    return quotient.nf(Poly.gen(quotient.basis[basis_index]))
+    return quotient.nf(Poly.gen(quotient.spec.basis[basis_index]))
 
 
 # ---------------------------------------------------------------------------
@@ -771,19 +783,19 @@ def check_coassociative(monomials: Sequence[Monomial]) -> BialgebraReport:
 
 
 def check_ideal_coproduct(
-    quotient: FilteredQuotient, generators: Sequence[Poly], spec: AlgebraSpec
+    quotient: FilteredQuotient, generators: Sequence[Poly]
 ) -> BialgebraReport:
     """Delta(r) in B (x) I + I (x) B for ideal generators r, within bounds.
 
     Membership is tested through the quotient map on each tensor factor:
     the combination vanishes in (B/I) (x) (B/I) exactly when it lies in
     B (x) I + I (x) B. Coproduct summands carry twisting exponents, which are
-    expanded through spec's twisting map before reduction.
+    expanded through the quotient algebra's twisting map before reduction.
     """
 
     def image(m: Monomial) -> Dict[Monomial, object]:
         # m expanded through alpha and reduced; the unit part stays as it is
-        p = expand_exponents(Poly.monomial(m), spec)
+        p = expand_exponents(Poly.monomial(m), quotient.spec)
         nf = quotient.nf(Poly({k: c for k, c in p.terms.items() if k is not UNIT}))
         return collect([*nf.terms.items(), (UNIT, p.coeff(UNIT))])
 
@@ -805,7 +817,6 @@ def check_bialgebra(
     monomials: Sequence[Monomial] = (),
     quotient: Optional[FilteredQuotient] = None,
     generators: Sequence[Poly] = (),
-    spec: Optional[AlgebraSpec] = None,
 ) -> BialgebraReport:
     """Counit laws, cocommutativity and coassociativity on sample monomials,
     plus Delta(ideal) membership in B (x) I + I (x) B when a quotient is given."""
@@ -819,7 +830,7 @@ def check_bialgebra(
             for name, outcome in sub.checks:
                 report.note(name, outcome)
     if quotient is not None and generators:
-        sub = check_ideal_coproduct(quotient, generators, spec)
+        sub = check_ideal_coproduct(quotient, generators)
         for name, outcome in sub.checks:
             report.note(name, outcome)
     return report

@@ -11,7 +11,6 @@ ordinary and Hom form where both make sense.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -583,8 +582,3 @@ def identity_system_from_json(data: dict) -> IdentitySystem:
         polys,
         json_typed(data.get("hom_form", False), bool, HomifyError, "'hom_form'"),
     )
-
-
-def save_identity_file(system: IdentitySystem, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(identity_system_to_json(system), fh, indent=2)

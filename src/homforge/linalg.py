@@ -1,9 +1,10 @@
-"""Exact rational row reduction over sparse dict-keyed rows.
+"""Exact rational row reduction over sparse int-keyed rows.
 
-Rows are dicts mapping arbitrary hashable column keys to rational
-coefficients. A RowSpace keeps a fully reduced echelon basis (one pivot per
-row, pivots eliminated everywhere else), which is all the kernel/membership
-machinery the bounded quotients need.
+Rows are dicts mapping int columns to rational coefficients; the pivot of a
+row is its largest column, so a caller numbers its columns once, in the
+order it wants pivots taken. A RowSpace keeps a fully reduced echelon basis
+(one pivot per row, pivots eliminated everywhere else), which is all the
+kernel/membership machinery the bounded quotients need.
 
 The basis is stored fraction-free: each row is a primitive row of ints (its
 entries have gcd 1) with a positive pivot coefficient. An incoming row has
@@ -17,14 +18,14 @@ normalized by rat(): an integral coefficient is an int. Rows whose pivots are
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Set, Tuple
 
 from .rationals import rat
 
-Row = Dict[Hashable, object]
+Row = Dict[int, object]
 
 
-def _integral(row: Row) -> Tuple[Dict[Hashable, int], int]:
+def _integral(row: Row) -> Tuple[Dict[int, int], int]:
     """(d * row as a new int row without its zero entries, d), d the least
     common denominator of the entries: 1, with no lcm taken, on an int row."""
     # the sum, taken in C, is an int only when every entry is: adding a
@@ -45,17 +46,13 @@ def _integral(row: Row) -> Tuple[Dict[Hashable, int], int]:
 
 
 class RowSpace:
-    """Span of sparse rows with incremental reduction.
+    """Span of sparse rows with incremental reduction; a row's pivot is its largest column."""
 
-    key orders columns; the pivot of a row is its maximal column under key.
-    """
-
-    def __init__(self, key: Optional[Callable] = None):
-        self.key = key
-        self.rows: Dict[Hashable, Dict[Hashable, int]] = {}  # pivot -> primitive int row
+    def __init__(self):
+        self.rows: Dict[int, Dict[int, int]] = {}  # pivot -> primitive int row
         # column -> pivots of the stored rows holding it, pivot columns
         # excluded; kept exact so add touches only the rows it must change
-        self._holders: Dict[Hashable, Set[Hashable]] = {}
+        self._holders: Dict[int, Set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -98,7 +95,7 @@ class RowSpace:
         res = self.reduce(row)
         if not res:
             return res
-        piv = max(res, key=self.key) if self.key else max(res)
+        piv = max(res)
         # the stored row: the residual as a primitive int row, pivot positive
         norm, _ = _integral(res)
         g = norm[piv]
@@ -143,34 +140,29 @@ class RowSpace:
         self.rows[piv] = norm
         return res
 
-    def pivots(self) -> List[Hashable]:
-        return list(self.rows)
 
-
-def kernel(vectors: List[Row], key: Callable) -> List[Tuple[object, ...]]:
+def kernel(vectors: List[Dict[Hashable, object]], key: Callable) -> List[Tuple[object, ...]]:
     """Kernel of the linear map sending unit vector i to vectors[i].
 
     Returns coefficient tuples c with sum_i c_i vectors[i] = 0, echelonized.
-    key orders the columns of the vectors. Implemented by reducing rows
-    augmented with bookkeeping coordinates.
+    key orders the columns of the vectors and must be injective. Each vector
+    is augmented with a bookkeeping column of its own, i - n for vector i of
+    n: below every real column and rising with i, so a residual left with
+    bookkeeping columns only is a kernel vector.
     """
-    aux = object()  # unique tag so bookkeeping columns cannot collide
-
-    def full_key(k):
-        if isinstance(k, tuple) and len(k) == 2 and k[0] is aux:
-            return (-1, k[1])
-        return (0, key(k))
-
-    space = RowSpace(key=full_key)
+    # a dict, not a set: the column order must not depend on hashing
+    columns = sorted(dict.fromkeys(k for v in vectors for k in v), key=key)
+    position = {k: j for j, k in enumerate(columns)}
+    space = RowSpace()
     out: List[Tuple[object, ...]] = []
     n = len(vectors)
     for i, v in enumerate(vectors):
-        row = dict(v)
-        row[(aux, i)] = 1
+        row = {position[k]: c for k, c in v.items()}
+        row[i - n] = 1
         res = space.add(row)
-        if res and all(isinstance(k, tuple) and len(k) == 2 and k[0] is aux for k in res):
+        if res and max(res) < 0:
             coeffs = [0] * n
-            for k, c in res.items():
-                coeffs[k[1]] = c
+            for j, c in res.items():
+                coeffs[j + n] = c
             out.append(tuple(coeffs))
     return out

@@ -251,7 +251,7 @@ def test_criterion_09_envelope_degree_one():
         U = _alpha_zero_envelope()
         assert U.filtration_dim(1) == 3
         for i in range(3):
-            assert pi_map(U, i) == Poly.gen(U.basis[i])
+            assert pi_map(U, i) == Poly.gen(U.spec.basis[i])
 
 
 @pytest.mark.xfail(

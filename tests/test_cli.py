@@ -43,10 +43,10 @@ def test_homify_single_identity_builtins(capsys):
 
 
 def test_check_identity_from_file(capsys, tmp_path):
-    from homforge.homify import catalog, save_identity_file
+    from homforge.homify import catalog, identity_system_to_json
 
     path = tmp_path / "homlie.json"
-    save_identity_file(catalog("hom_lie"), str(path))
+    path.write_text(json.dumps(identity_system_to_json(catalog("hom_lie")), indent=2))
     code, out, _ = run(
         capsys, "check", "--algebra", "sl2", "--twist", "bundled",
         "--identity", str(path),

@@ -2,6 +2,7 @@
 
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,7 @@ from homforge.hombialg import (
     antipode,
     antipode_defect,
     check_antipode,
+    check_bialgebra,
     check_coassociative,
     check_cocommutative,
     check_counit_laws,
@@ -251,7 +253,9 @@ def _two_way_component(signature, exp_bound):
     """A reference component: rows for the rewrites in both directions,
     truncated when the enumeration or a rewrite target leaves the exponent
     bound. The enumeration meets a tree above the bound only when none of
-    its exponents is negative: a negative one means there is no tree."""
+    its exponents is negative: a negative one means there is no tree. The
+    members are numbered in mono_key order, as the component numbers its
+    own, so the two row spaces share their columns."""
     members, truncated = set(), False
     for shape in _tree_shapes(len(signature)):
         depths = _shape_depths(shape)
@@ -262,11 +266,12 @@ def _two_way_component(signature, exp_bound):
                 members.add(_build_from_shape(shape, lvs))
             elif min(exps) >= 0:
                 truncated = True
-    space = RowSpace(key=mono_key)
+    position = {m: i for i, m in enumerate(sorted(members, key=mono_key))}
+    space = RowSpace()
     for m in members:
         for m2 in _two_way_rewrites(m):
             if m2 in members:
-                space.add({m: rat(1), m2: rat(-1)})
+                space.add({position[m]: rat(1), position[m2]: rat(-1)})
             else:
                 truncated = True
     return members, space, truncated
@@ -288,7 +293,7 @@ def test_component_matches_two_way_rewrites():
             assert set(comp.monomials) == members and len(comp.monomials) == len(members)
             assert (comp.rank, comp.truncated) == (space.rank, truncated), sig
             assert all(not space.reduce(row) for row in comp.space.rows.values()), sig
-            assert all(not comp.reduce(row) for row in space.rows.values()), sig
+            assert all(not comp.space.reduce(row) for row in space.rows.values()), sig
 
 
 def _rewrite_classes(comp):
@@ -436,7 +441,7 @@ def test_u_hom_alpha_zero_sl2_dimensions():
     # degree-1 dimension 3: pi is injective on L
     assert U.filtration_dim(1) == 3
     for i in range(3):
-        assert pi_map(U, i) == Poly.gen(U.basis[i])
+        assert pi_map(U, i) == Poly.gen(U.spec.basis[i])
     # the graded dimensions match the paper's associated graded model,
     # K{L} / <xy - yx : x, y generators>, enumerated independently
     graded = U.graded_dims()
@@ -641,21 +646,40 @@ def test_ideal_coproduct_membership_alpha_zero():
     fam = sabinin_from(sl2, "lie", cutoff=1)
     rels = u_hom_relations(fam, 2)
     U = u_hom(fam, 2)
-    report = check_ideal_coproduct(U, rels, sl2)
+    report = check_ideal_coproduct(U, rels)
     assert report.ok
 
 
-def test_check_bialgebra_umbrella():
-    from homforge.hombialg import check_bialgebra
+def test_ideal_coproduct_membership_twisted():
+    """With a genuine twist the coproduct summands carry exponents, which
+    the quotient expands through its own algebra's twisting map: no spec
+    is passed, and every generator's coproduct lies in B (x) I + I (x) B."""
+    fam = sabinin_from(hom_version(builtin_algebra("sl2")), "lie", cutoff=1)
+    rels = u_hom_relations(fam, 3)
+    U = u_hom(fam, 3)
+    assert U.spec is fam.spec
+    for report in (check_ideal_coproduct(U, rels), check_bialgebra(quotient=U, generators=rels)):
+        assert report.ok
+        assert [name for name, _ in report.checks] == [f"ideal_coproduct[{i}]" for i in range(30)]
 
+
+@pytest.mark.parametrize("outside", ["q", "A^1(x)", "(h*x)*(y*h)"])
+def test_filtered_nf_rejects_monomials_outside_the_quotient(outside):
+    """A letter outside the basis, a twisted leaf or a degree above the
+    bound is no monomial of the quotient: nf raises and names it instead of
+    passing it through."""
+    U = u_hom(sabinin_from(hom_version(builtin_algebra("sl2")), "lie", cutoff=1), 3)
+    with pytest.raises(BoundsError, match=re.escape(outside)):
+        U.nf(parse_poly(f"{outside} + h*x"))
+
+
+def test_check_bialgebra_umbrella():
     sl2 = builtin_algebra("sl2").with_alpha(zero_matrix(3))
     fam = sabinin_from(sl2, "lie", cutoff=1)
     rels = u_hom_relations(fam, 2)
     U = u_hom(fam, 2)
     monos = [mono(s) for s in ["x", "(x*y)", "((x*y)*z)"]]
-    report = check_bialgebra(
-        monomials=monos, quotient=U, generators=rels, spec=sl2,
-    )
+    report = check_bialgebra(monomials=monos, quotient=U, generators=rels)
     assert report.ok
     names = [n for n, _ in report.checks]
     assert any(n.startswith("counit") for n in names)

@@ -29,7 +29,7 @@ def test_rowspace_rank_and_residuals(rows, probes):
     assert space.rank == dense.rank()
     for probe in rows + probes:
         res = space.reduce(probe)
-        assert not set(res) & set(space.pivots())
+        assert not set(res) & set(space.rows)
         assert space.reduce(res) == res
 
 
@@ -42,13 +42,13 @@ binomial_rows = (
 
 def _check_invariants(space):
     """Stored rows are primitive int rows with a positive pivot at their
-    maximum, no row holds another pivot, and the column index is exactly the
-    column -> rows map of the stored rows."""
+    largest column, no row holds another pivot, and the column index is
+    exactly the column -> rows map of the stored rows."""
     holders = {}
     for piv, row in space.rows.items():
         assert all(type(c) is int and c != 0 for c in row.values())
         assert math.gcd(*row.values()) == 1
-        assert row[piv] > 0 and max(row, key=space.key) == piv
+        assert row[piv] > 0 and max(row) == piv
         assert not (set(row) - {piv}) & set(space.rows)
         for k in row:
             if k != piv:
@@ -67,18 +67,25 @@ def _check_invariants(space):
 def test_rowspace_matches_sympy_rref(order, rows, probes):
     """Stored rows, each divided by its pivot, and residuals agree with
     sympy's reduced echelon form, taken with the columns sorted by
-    decreasing key (the pivot is the column of maximal key)."""
+    decreasing rank (the pivot is the column of maximal rank). The rows
+    enter the space with each column relabelled as its rank, and leave it
+    with the labels restored."""
     rank_of = {k: r for r, k in enumerate(order)}
-    space = RowSpace(key=rank_of.__getitem__)
+    space = RowSpace()
     for row in rows:
-        space.add(row)
+        space.add(_relabel(row, rank_of))
         _check_invariants(space)
     echelon = _sympy_echelon(rows, sorted(range(COLUMNS), key=rank_of.__getitem__, reverse=True))
-    assert {p: {k: sympy.Rational(c, row[p]) for k, c in row.items()}
+    assert {order[p]: {order[r]: sympy.Rational(c, row[p]) for r, c in row.items()}
             for p, row in space.rows.items()} == echelon
     for probe in rows + probes:
-        got = {k: sympy.Rational(str(c)) for k, c in space.reduce(probe).items()}
+        res = space.reduce(_relabel(probe, rank_of))
+        got = {order[r]: sympy.Rational(str(c)) for r, c in res.items()}
         assert got == _sympy_residual(echelon, probe)
+
+
+def _relabel(row, rank_of):
+    return {rank_of[k]: c for k, c in row.items()}
 
 
 def _sympy_echelon(rows, cols):
@@ -118,11 +125,11 @@ def test_add_returns_the_exact_rational_residual(order, rows):
     row's exact residual against the rows before it, as sympy computes it."""
     rank_of = {k: r for r, k in enumerate(order)}
     cols = sorted(range(COLUMNS), key=rank_of.__getitem__, reverse=True)
-    space = RowSpace(key=rank_of.__getitem__)
+    space = RowSpace()
     for i, row in enumerate(rows):
-        res = space.add(row)
+        res = space.add(_relabel(row, rank_of))
         _assert_exact(res)
-        got = {k: sympy.Rational(str(c)) for k, c in res.items()}
+        got = {order[r]: sympy.Rational(str(c)) for r, c in res.items()}
         assert got == _sympy_residual(_sympy_echelon(rows[:i], cols), row)
         _check_invariants(space)
 
@@ -165,3 +172,24 @@ def test_binomial_component_rows_are_ints(monkeypatch):
     assert (len(comp.monomials), comp.rank) == (120, 96)
     assert all(type(c) is int for row in comp.space.rows.values() for c in row.values())
     assert all(row[p] == 1 for p, row in comp.space.rows.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.sampled_from("pqrstu"), entries, max_size=4), max_size=8),
+    st.permutations("pqrstu"),
+)
+def test_kernel_spans_the_null_space(vectors, order):
+    """kernel, on string columns under a random injective key, returns as
+    many tuples as the nullity sympy finds, each a combination of the
+    vectors that vanishes, and the tuples are independent."""
+    rank_of = {k: r for r, k in enumerate(order)}
+    got = linalg.kernel(vectors, rank_of.__getitem__)
+    dense = sympy.Matrix([[sympy.Rational(str(v.get(k, 0))) for k in order] for v in vectors])
+    assert len(got) == len(vectors) - dense.rank()
+    for combo in got:
+        assert len(combo) == len(vectors)
+        assert all(sum(c * v.get(k, 0) for c, v in zip(combo, vectors)) == 0 for k in order)
+    if got:
+        tuples = sympy.Matrix([[sympy.Rational(str(c)) for c in combo] for combo in got])
+        assert tuples.rank() == len(got)
