@@ -58,14 +58,22 @@ _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCON
 
 
 def _emit(args, command: str, status: str, payload: dict, human: List[str], t0: float) -> int:
-    if args.json:
-        doc = {"command": command, "status": status, "seed": getattr(args, "seed", None)}
-        doc.update(payload)
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in human:
-            print(line)
-        print(f"status: {status}  ({(time.perf_counter() - t0) * 1000:.1f} ms)")
+    try:
+        if args.json:
+            doc = {"command": command, "status": status, "seed": getattr(args, "seed", None)}
+            doc.update(payload)
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in human:
+                print(line)
+            print(f"status: {status}  ({(time.perf_counter() - t0) * 1000:.1f} ms)")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe; the verdict stands. Python flushes
+        # stdout again at exit, so send what is left to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return _STATUS_CODE[status]
 
 

@@ -110,7 +110,8 @@ class MultilinearOp:
     """A multilinear operation given by its structure-constant tensor.
 
     entries maps a basis index tuple to a sparse output vector
-    {coordinate: coefficient}; missing tuples are zero.
+    {coordinate: coefficient}; missing tuples are zero. The same vectors
+    hang in a prefix trie {i1: {i2: ... {ik: vector}}} that eval walks.
     """
 
     def __init__(self, name: str, arity: int, dim: int, entries: Dict[Tuple[int, ...], Dict[int, object]]):
@@ -124,6 +125,12 @@ class MultilinearOp:
             for idx, out in entries.items()
             if any(c != 0 for c in out.values())
         }
+        self._trie: dict = {}
+        for idx, out in self.entries.items():
+            node = self._trie
+            for i in idx[:-1]:
+                node = node.setdefault(i, {})
+            node[idx[-1]] = out
 
     @staticmethod
     def from_sparse(name: str, arity: int, dim: int, items: Iterable[Sequence]) -> "MultilinearOp":
@@ -153,17 +160,29 @@ class MultilinearOp:
         return self.entries.get(idx, {})
 
     def eval(self, args: Sequence[Vector]) -> Vector:
+        """The value on args. The trie is walked one argument at a time,
+        carrying each index prefix that has entries with the product of its
+        coordinates; the outputs are summed as expr.collect sums them."""
         if len(args) != self.arity:
             raise FdalgError(f"{self.name!r} has arity {self.arity}, got {len(args)}")
-        terms = []
-        for combo in itertools.product(*(a.items() for a in args)):
-            ent = self.entries.get(tuple(i for i, _ in combo))
-            if ent is not None:
-                c = ONE
-                for _, cc in combo:
-                    c = c * cc
-                terms.append((c, ent))
-        return lincomb(terms)
+        trie = self._trie
+        prefixes = [(trie[i], x) for i, x in args[0].items() if i in trie]
+        for a in args[1:-1]:
+            prefixes = [
+                (node[i], c * x) for node, c in prefixes for i, x in a.items() if i in node
+            ]
+        out: Vector = {}
+        last = args[-1].items()
+        for node, c in prefixes:
+            for i, x in last:
+                ent = node.get(i)
+                if ent is not None:
+                    cx = c * x
+                    for k, y in ent.items():
+                        out[k] = out[k] + cx * y if k in out else cx * y
+        if 0 in out.values():  # a coordinate cancelled
+            return {k: c for k, c in out.items() if c != 0}
+        return out
 
     def post_compose(self, cols: Sequence[Vector]) -> "MultilinearOp":
         """The operation followed by the linear map with columns cols."""
@@ -345,29 +364,99 @@ def builtin_algebra(name: str) -> AlgebraSpec:
 # Evaluation
 
 
-def eval_monomial(spec: AlgebraSpec, m: Monomial, assignment: Dict[str, Vector]) -> Vector:
-    if m is UNIT:
-        if spec.unit is None:
-            raise FdalgError("monomial uses the unit but the algebra has none")
-        return spec.unit
-    if isinstance(m, Leaf):
-        try:
-            v = assignment[m.base]
-        except KeyError:
-            raise FdalgError(f"unbound variable {m.base!r}") from None
-        return spec.apply_alpha_vec(v, m.exp)
-    try:
-        op = spec.ops[m.op]
-    except KeyError:
-        raise FdalgError(f"algebra has no operation {m.op!r}") from None
-    return op.eval([eval_monomial(spec, a, assignment) for a in m.args])
+def _walk(
+    spec: AlgebraSpec, poly: Poly, variables: Sequence[str],
+    candidate_sets: Sequence[Sequence[Tuple[str, Vector]]], lo: int, hi: int,
+) -> Iterable[Tuple[int, Tuple[int, ...], Vector]]:
+    """(index, positions, value of poly) for the tuples lo..hi-1 of
+    itertools.product(*candidate_sets), in that order, variable p taking
+    the vector of candidate_sets[p][positions[p]].
+
+    The distinct subtrees of poly's monomials are compiled once into slots.
+    The level of a slot is the last variable position it depends on, and
+    after the step that changes position j only the slots of level >= j are
+    recomputed: loop-invariant subtrees are hoisted out of the inner
+    positions. Slots on no variable (the unit, nodes over units) are
+    evaluated once, and each leaf alpha^k(x) once per candidate of x.
+    """
+    from operator import itemgetter
+
+    if lo >= hi:
+        return
+    position = {v: p for p, v in enumerate(variables)}
+    n = len(variables)
+    values: List[Vector] = []
+    leaf_steps: List[list] = [[] for _ in range(n)]  # (slot, value per candidate)
+    node_steps: List[list] = [[] for _ in range(n)]  # (slot, op.eval, child values)
+    slots: Dict[Monomial, Tuple[int, int]] = {}  # subtree -> (slot, level)
+
+    def slot(m: Monomial) -> Tuple[int, int]:
+        if m in slots:
+            return slots[m]
+        s = len(values)
+        if m is UNIT:
+            if spec.unit is None:
+                raise FdalgError("monomial uses the unit but the algebra has none")
+            values.append(spec.unit)
+            level = -1
+        elif isinstance(m, Leaf):
+            if m.base not in position:
+                raise FdalgError(f"unbound variable {m.base!r}")
+            level = position[m.base]
+            values.append({})
+            leaf_steps[level].append(
+                (s, [spec.apply_alpha_vec(v, m.exp) for _, v in candidate_sets[level]])
+            )
+        else:
+            try:
+                op = spec.ops[m.op]
+            except KeyError:
+                raise FdalgError(f"algebra has no operation {m.op!r}") from None
+            if len(m.args) != op.arity:
+                raise FdalgError(f"{op.name!r} has arity {op.arity}, got {len(m.args)}")
+            kids = [slot(a) for a in m.args]
+            level = max(l for _, l in kids)
+            s = len(values)  # the children took slots first
+            if level < 0:
+                values.append(op.eval([values[k] for k, _ in kids]))
+            else:
+                values.append({})
+                node_steps[level].append((s, op.eval, itemgetter(*(k for k, _ in kids))))
+        slots[m] = (s, level)
+        return s, level
+
+    top = [(slot(m)[0], c) for m, c in poly.terms.items()]
+    sizes = [len(cs) for cs in candidate_sets]
+    digits = [0] * n
+    rest = lo
+    for p in reversed(range(n)):
+        rest, digits[p] = divmod(rest, sizes[p])
+    changed = 0
+    for index in range(lo, hi):
+        for level in range(changed, n):
+            d = digits[level]
+            for s, table in leaf_steps[level]:
+                values[s] = table[d]
+            for s, ev, args in node_steps[level]:
+                values[s] = ev(args(values))
+        yield index, tuple(digits), lincomb((c, values[s]) for s, c in top)
+        changed = n - 1  # the odometer step, carrying leftwards
+        while changed >= 0:
+            digits[changed] += 1
+            if digits[changed] < sizes[changed]:
+                break
+            digits[changed] = 0
+            changed -= 1
 
 
 def eval_poly(spec: AlgebraSpec, p: Poly, assignment: Dict[str, Vector]) -> Vector:
+    """The value of p with each variable bound to its vector in assignment."""
     for name, v in assignment.items():
         if any(not 0 <= i < spec.dim for i in v):
             raise FdalgError(f"variable {name!r} has an index outside 0..{spec.dim - 1}")
-    return lincomb((c, eval_monomial(spec, m, assignment)) for m, c in p.terms.items())
+    points = [[(name, v)] for name, v in assignment.items()]
+    ((_, _, value),) = _walk(spec, p, list(assignment), points, 0, 1)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +558,9 @@ def _failures(
 ) -> List[Tuple[int, Dict[str, str], Tuple[object, ...]]]:
     """(tuple index, labels, dense defect) of the first `limit` failing tuples in [lo, hi)."""
     out = []
-    combos = itertools.islice(itertools.product(*candidate_sets), lo, hi)
-    for index, combo in enumerate(combos, lo):
-        assignment = {v: w for v, (_, w) in zip(variables, combo)}
-        defect = eval_poly(spec, ident, assignment)
+    for index, positions, defect in _walk(spec, ident, variables, candidate_sets, lo, hi):
         if defect:
-            labels = {v: lab for v, (lab, _) in zip(variables, combo)}
+            labels = {v: cs[p][0] for v, cs, p in zip(variables, candidate_sets, positions)}
             out.append((index, labels, dense(defect, spec.dim)))
             if len(out) >= limit:
                 break
@@ -593,11 +679,10 @@ def tabulate_poly(
     name: str, spec: AlgebraSpec, template: Poly, variables: Sequence[str]
 ) -> MultilinearOp:
     """The multilinear operation (variables) -> template, evaluated on spec."""
-    basis = [spec.basis_vector(i) for i in range(spec.dim)]
-    return tabulate(
-        name, len(variables), spec.dim,
-        lambda idx: eval_poly(spec, template, {v: basis[i] for v, i in zip(variables, idx)}),
-    )
+    basis = [(b, spec.basis_vector(i)) for i, b in enumerate(spec.basis)]
+    arity = len(variables)
+    walk = _walk(spec, template, variables, [basis] * arity, 0, spec.dim ** arity)
+    return MultilinearOp(name, arity, spec.dim, {idx: value for _, idx, value in walk})
 
 
 def commutator_table(spec: AlgebraSpec) -> MultilinearOp:

@@ -99,3 +99,38 @@ def pbw_dims(dim: int, max_degree: int) -> dict:
         d: len({tuple(sorted(w)) for w in itertools.product(range(dim), repeat=d)})
         for d in range(1, max_degree + 1)
     }
+
+
+def op_eval(op, args):
+    """A MultilinearOp on the vectors args, by its definition: the sum over
+    every choice of one coordinate per argument of the product of the
+    coordinates times the entry of those indices."""
+    from homforge.expr import lincomb
+
+    terms = []
+    for combo in itertools.product(*(a.items() for a in args)):
+        ent = op.entries.get(tuple(i for i, _ in combo))
+        if ent is not None:
+            c = 1
+            for _, x in combo:
+                c = c * x
+            terms.append((c, ent))
+    return lincomb(terms)
+
+
+def eval_monomial(spec, m, assignment):
+    """A monomial on an algebra, recursively, every subtree evaluated anew."""
+    from homforge.expr import UNIT, Leaf
+
+    if m is UNIT:
+        return spec.unit
+    if isinstance(m, Leaf):
+        return spec.apply_alpha_vec(assignment[m.base], m.exp)
+    return op_eval(spec.ops[m.op], [eval_monomial(spec, a, assignment) for a in m.args])
+
+
+def eval_poly(spec, p, assignment):
+    """A polynomial on an algebra, one monomial at a time."""
+    from homforge.expr import lincomb
+
+    return lincomb((c, eval_monomial(spec, m, assignment)) for m, c in p.terms.items())

@@ -603,3 +603,96 @@ def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
         monkeypatch.setattr(cli, "delta_poly", broken)
         with pytest.raises(type(exc)):
             cli.main(["coproduct", "--expr", "(x*y)"])
+
+
+_UNITARY = {  # u is the unit; mu(u, x) = mu(x, u) = alpha(x), alpha swaps u and g
+    "dim": 2, "basis": ["u", "g"], "unit": ["1", "0"],
+    "alpha": [["0", "1"], ["1", "0"]],
+    "ops": [{"name": "mu", "arity": 2,
+             "entries": [[0, 0, 1, "1"], [0, 1, 0, "1"], [1, 0, 0, "1"], [1, 1, 1, "1"]]}],
+}
+_UNIT = {"unit": True}
+
+
+def test_nodes_over_the_unit_are_evaluated(capsys, tmp_path):
+    """A node whose children are all units has no variable: its value is
+    computed once, and every witness carries the value the recursive oracle
+    gives."""
+    from oracles import eval_poly
+
+    from homforge.expr import poly_from_json
+    from homforge.fdalg import AlgebraSpec
+
+    uu = ["mu", _UNIT, _UNIT]
+    terms = [
+        {"coeff": "1", "tree": ["mu", uu, {"var": "x"}]},
+        {"coeff": "-3", "tree": ["mu", {"var": "x"}, ["mu", _UNIT, uu]]},
+    ]
+    algebra, identity = tmp_path / "unitary.json", tmp_path / "ident.json"
+    algebra.write_text(json.dumps(_UNITARY))
+    identity.write_text(json.dumps({
+        "name": "units", "signature": {"ops": [{"name": "mu", "arity": 2}], "unitary": True},
+        "terms": terms,
+    }))
+    code, out, _ = run(capsys, "check", "--algebra", str(algebra),
+                       "--identity", str(identity), "--json")
+    spec, poly = AlgebraSpec.from_json(_UNITARY), poly_from_json(terms)
+    want = []
+    for i, name in enumerate(spec.basis):
+        value = eval_poly(spec, poly, {"x": spec.basis_vector(i)})
+        want.append({"x": name, "defect": [str(value.get(k, 0)) for k in range(spec.dim)]})
+    assert all(w["defect"] != ["0", "0"] for w in want)
+    report = json.loads(out)
+    assert code == 1 and report["checked"] == 2
+    assert [{"x": w["assignment"]["x"], "defect": w["defect"]}
+            for w in report["witnesses"]] == want
+
+
+@pytest.mark.parametrize(
+    "algebra, tree, named",
+    [
+        ("sl2", ["nu", {"var": "x"}, {"var": "y"}], "algebra has no operation 'nu'"),
+        ("sl2", ["mu", _UNIT, {"var": "y"}], "monomial uses the unit but the algebra has none"),
+    ],
+    ids=["missing-op", "unit-without-unit"],
+)
+def test_identities_the_algebra_cannot_evaluate(capsys, tmp_path, algebra, tree, named):
+    """An identity whose op the algebra lacks, or that uses a unit the
+    algebra does not have, is a usage error."""
+    data = {
+        "signature": {"ops": [{"name": tree[0], "arity": 2}], "unitary": True},
+        "terms": [{"coeff": "1", "tree": tree}],
+    }
+    path = tmp_path / "ident.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", "--algebra", algebra, "--identity", str(path))
+    assert code == 2 and not out
+    assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--identity", "lie", "--json"], 0), (["--identity", "lie"], 0),
+     (["--identity", "associative", "--json"], 1)],
+    ids=["pass-json", "pass-text", "fail-json"],
+)
+def test_closed_stdout_keeps_the_verdict(argv, code):
+    """A reader that closes the pipe early (`| true`) changes neither the
+    exit code nor stderr."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homforge.cli", "check", "--algebra", "sl2", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == code and proc.stderr == b""

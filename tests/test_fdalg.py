@@ -1,5 +1,6 @@
 """Tests for structure-constant algebras, identity checking, and twisting."""
 
+import collections
 import itertools
 import math
 import re
@@ -8,8 +9,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from homforge.expr import Poly, parse_poly
+from oracles import eval_poly as oracle_eval_poly, op_eval
+
+from homforge.expr import Leaf, Node, Poly, collect, leaves, parse_poly
 from homforge.fdalg import (
+    _walk,
     AlgebraSpec,
     FdalgError,
     MultilinearOp,
@@ -102,7 +106,7 @@ def test_eval_examples(sl2):
     assert eval_poly(sl2, parse_poly("(x*y)"), {"x": x, "y": y}) == h
     assert eval_poly(sl2, parse_poly("2*(h*x) - (x*h)"), {"h": h, "x": x}) == {1: rat(6)}
     assert eval_poly(sl2, Poly.zero(), {}) == {}
-    with pytest.raises(FdalgError):
+    with pytest.raises(FdalgError, match="unbound variable 'q'"):
         eval_poly(sl2, parse_poly("(x*q)"), {"x": x})
     with pytest.raises(FdalgError, match="outside 0..2"):
         eval_poly(sl2, parse_poly("x"), {"x": {3: ONE}})
@@ -455,11 +459,13 @@ def test_parallel_check_matches_sequential(sl2, octonions):
         (octonions, "hom_lie", "fail"),
         (hom_version(octonions), "hom_malcev", "fail"),
         (classical(AlgebraSpec.from_json(data)), "lie", "fail"),
+        # 44 x 8 polarization tuples: chunks start in the middle of a radix
+        (hom_version(octonions), "hom_alternative", "pass"),
     ]
     for spec, name, status in cases:
         want = check_identity(spec, catalog(name)).to_json()
         assert want["status"] == status, name
-        for jobs in (2, 4):
+        for jobs in (2, 3, 4):
             assert check_identity(spec, catalog(name), jobs=jobs).to_json() == want, (name, jobs)
 
 
@@ -564,3 +570,99 @@ def test_sparse_kernel_matches_dense_oracles(case):
     got = lincomb(zip(coeffs, [_sparse(u) for u in vectors]))
     assert _no_zero_values(got) and got == _sparse(want)
     assert lincomb([(ONE, got), (-ONE, got)]) == {}
+
+
+@st.composite
+def walk_cases(draw):
+    """An algebra from small_algebras, a random polynomial in up to three
+    variables with twisted leaves and subtrees shared between monomials, a
+    polarization set per variable (of unequal sizes when the drawn
+    multiplicities differ) and a slice [lo, hi) of their tuples."""
+    spec = draw(small_algebras())
+    variables = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    leaf = st.builds(Leaf, st.sampled_from(variables), st.integers(0, 2))
+    tree = st.recursive(
+        leaf, lambda kids: st.tuples(kids, kids).map(lambda ab: Node("mu", ab)), max_leaves=4
+    )
+    pool = draw(st.lists(tree, min_size=1, max_size=3))
+    part = st.sampled_from(pool)
+    mono = st.one_of(part, st.tuples(part, part).map(lambda ab: Node("mu", ab)))
+    terms = draw(st.lists(st.tuples(mono, st.integers(-3, 3)), max_size=4))
+    candidate_sets = [
+        polarization_vectors(spec.dim, spec.basis, draw(st.integers(1, 3))) for _ in variables
+    ]
+    total = math.prod(len(cs) for cs in candidate_sets)
+    lo = draw(st.integers(0, total))
+    hi = draw(st.integers(lo, min(total, lo + 150)))
+    return spec, Poly(collect(terms)), variables, candidate_sets, lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases())
+def test_walk_matches_recursive_evaluation(case):
+    """The walk yields, for every tuple of its slice and in product order,
+    the index, the positions, and the value the recursive evaluator gives."""
+    spec, poly, variables, candidate_sets, lo, hi = case
+    got = list(_walk(spec, poly, variables, candidate_sets, lo, hi))
+    places = itertools.product(*(range(len(cs)) for cs in candidate_sets))
+    want = []
+    for index, positions in enumerate(itertools.islice(places, lo, hi), lo):
+        assignment = {v: cs[p][1] for v, cs, p in zip(variables, candidate_sets, positions)}
+        want.append((index, positions, oracle_eval_poly(spec, poly, assignment)))
+    assert got == want
+
+
+def test_op_eval_matches_the_definition():
+    """An arity-3 operation on arguments with several nonzero coordinates,
+    where a prefix has no entries and an output coordinate cancels."""
+    op = MultilinearOp.from_sparse("t", 3, 3, [
+        [0, 0, 0, 0, "1"], [0, 0, 0, 1, "2"], [1, 0, 2, 0, "1"],
+        [1, 2, 1, 2, "1/2"], [2, 1, 0, 1, "-1"],
+    ])
+    a, b, c = {0: ONE, 1: ONE}, {0: ONE, 2: rat(3)}, {0: ONE, 1: rat(-2, 3), 2: -ONE}
+    got = op.eval([a, b, c])
+    assert got == op_eval(op, [a, b, c]) == {1: rat(2), 2: rat(-1)}  # coordinate 0 cancels
+    assert op.eval([{2: ONE}, {0: ONE}, c]) == {}  # the prefix (2, 0) has no entry
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_op_eval_matches_the_definition_on_sparse_tables(data):
+    """Sparse tables of arity 2 to 4, so that many prefixes have no entry,
+    on rational arguments: eval equals the sum over every index tuple."""
+    dim = data.draw(st.integers(1, 3))
+    arity = data.draw(st.integers(2, 4))
+    small = st.integers(-2, 2)
+    idx = st.tuples(*[st.integers(0, dim - 1)] * arity)
+    items = data.draw(st.lists(st.tuples(idx, st.integers(0, dim - 1), small), max_size=8))
+    op = MultilinearOp.from_sparse("op", arity, dim, [[*i, k, c] for i, k, c in items])
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3).map(rat)
+    args = [
+        {i: c for i in range(dim) if (c := data.draw(coord)) != 0} for _ in range(arity)
+    ]
+    got = op.eval(args)
+    assert got == op_eval(op, args) and _no_zero_values(got)
+
+
+def test_walk_evaluates_fewer_ops_than_the_per_tuple_oracle(monkeypatch, sl2):
+    """check_identity on twisted sl2 against hom_lie: the same tuples, and
+    fewer op evaluations than the one per op node per tuple that evaluating
+    each monomial from scratch makes."""
+    spec, system = hom_version(sl2), catalog("hom_lie")
+    tuples = per_tuple = 0
+    for ident in system.identities:
+        mults = collections.Counter(l.base for l in leaves(next(iter(ident.terms))))
+        count = math.prod(
+            len(polarization_vectors(spec.dim, spec.basis, k)) for k in mults.values()
+        )
+        nodes = sum(len(leaves(m)) - 1 for m in ident.terms)  # binary trees
+        tuples += count
+        per_tuple += count * nodes
+    calls = []
+    original = MultilinearOp.eval
+    monkeypatch.setattr(
+        MultilinearOp, "eval", lambda self, args: calls.append(1) or original(self, args)
+    )
+    report = check_identity(spec, system)
+    assert report.ok and report.checked == tuples
+    assert 0 < len(calls) < per_tuple
