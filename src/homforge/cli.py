@@ -9,6 +9,7 @@ printed on the human side only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -388,10 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call shares, built on the first one: parsing
+    leaves it unchanged, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -37,11 +38,10 @@ from .expr import (
     mono_key,
     mul,
     mul_mono,
-    rename_leaves,
     render_mono,
     render_poly,
 )
-from .fdalg import AlgebraSpec, OpFamily, Vector
+from .fdalg import AlgebraSpec, OpFamily
 from .linalg import RowSpace, kernel
 from .qops import QSolver
 from .rationals import ONE, ZERO, rat, rat_str
@@ -522,45 +522,87 @@ def alpha_injectivity_probe(
 # Universal enveloping Hom-algebras (truncated)
 
 
-def expand_exponents(p: Poly, spec: AlgebraSpec) -> Poly:
-    """Rewrite decorated leaves through spec.alpha: a^k(e_i) expands linearly.
+class Template:
+    """A polynomial compiled once for expand_exponents, over letters that
+    stand for basis indices.
 
-    A monomial expands as one product of its leaves' combinations, rebuilt on
-    its own tree: A^k(e_i) is column i of alpha^k, an undecorated leaf stays.
-    spec computes each alpha power once, so callers expanding many
-    polynomials over one basis and alpha share one spec."""
+    Each term becomes a function of the entry lists of its leaves, built on
+    the term's tree skeleton. A leaf A^k(letters[s]) reads the list of the
+    slot (s, k); any other leaf is fixed, an undecorated one staying as it
+    is and a decorated one expanding through its basis index, and the unit
+    stays. The list of basis index i under exponent k, column i of alpha^k
+    as (leaf, coefficient) pairs (the single leaf e_i when k = 0), is built
+    once per template."""
 
-    def leaf_terms(l: Leaf) -> Dict[Monomial, object]:
-        if l.exp == 0:
-            return {l: ONE}
-        return _vector_poly(spec.alpha_columns(l.exp)[spec.basis_index(l.base)], spec.basis).terms
+    def __init__(self, p: Poly, letters: Sequence[str], spec: AlgebraSpec):
+        self.spec = spec
+        self.gens = [Leaf(b, 0) for b in spec.basis]
+        letter_slot = {l: s for s, l in enumerate(letters)}
+        self.slots: Dict[Tuple[int, int], int] = {}  # (slot, exponent) -> position
+        self.terms = [(self._compile(m, letter_slot), c) for m, c in p.terms.items()]
+        exps = {k for _, k in self.slots}
+        self.columns = {(i, k): self._column(i, k) for k in exps for i in range(spec.dim)}
 
-    def mono_terms(m: Monomial) -> Dict[Monomial, object]:
+    def _column(self, i: int, k: int) -> List[Tuple[Leaf, object]]:
+        return [(self.gens[j], c) for j, c in self.spec.alpha_columns(k)[i].items()]
+
+    def _compile(self, m: Monomial, letter_slot: Dict[str, int]):
+        """m as a function of the slots' entry lists that gives the (tree,
+        coefficient) pairs of its expansion; the trees share their subtrees."""
+        if isinstance(m, Leaf):
+            if m.base in letter_slot:
+                slot = (letter_slot[m.base], m.exp)
+                return itemgetter(self.slots.setdefault(slot, len(self.slots)))
+            if m.exp:
+                fixed = self._column(self.spec.basis_index(m.base), m.exp)
+            else:
+                fixed = [(m, ONE)]
+            return lambda entries: fixed
         if m is UNIT:
-            return {UNIT: ONE}
+            return lambda entries: [(UNIT, ONE)]
+        op = m.op
+        kids = [self._compile(a, letter_slot) for a in m.args]
+        if len(kids) == 2:  # the binary product, in one comprehension
+            left, right = kids
+            return lambda entries: [
+                (Node(op, (a, b)), x * y) for a, x in left(entries) for b, y in right(entries)
+            ]
 
-        def rebuild(*chosen: Leaf) -> Monomial:
-            it = iter(chosen)
-            return map_leaves(m, lambda _: next(it))
+        def expand_node(entries):
+            # every choice of one pair per child, children left to right
+            acc = [((), ONE)]
+            for kid in kids:
+                acc = [(ts + (t,), c * x) for ts, c in acc for t, x in kid(entries)]
+            return [(Node(op, ts), c) for ts, c in acc]
 
-        return expand([leaf_terms(l) for l in leaves(m)], rebuild)
-
-    return Poly(lincomb((c, mono_terms(m)) for m, c in p.terms.items()))
+        return expand_node
 
 
-def _vector_poly(v: Vector, basis: Sequence[str]) -> Poly:
-    return Poly({Leaf(basis[i], 0): c for i, c in v.items()})
+def expand_exponents(template: Template, word: Sequence[int]) -> List[Tuple[Monomial, object]]:
+    """The template with letters[s] -> basis[word[s]], expanded through
+    spec.alpha, as (monomial, coefficient) pairs to be summed with collect.
+
+    A^k(letters[s]) reads column word[s] of alpha^k, an undecorated letter
+    becomes its basis element; every choice of one entry per leaf gives one
+    tree, weighted by the product of the chosen coefficients. A word that
+    repeats a basis letter merges template monomials, and so may the
+    expansion: the caller sums them."""
+    columns = template.columns
+    entries = [columns[word[s], k] for s, k in template.slots]
+    return [(t, c * x) for build, c in template.terms for t, x in build(entries)]
 
 
 class FilteredQuotient:
     """K{S} monomials of degree <= d modulo (possibly inhomogeneous) relations.
 
-    S is the basis of spec, the algebra of the relations. They are closed
-    under multiplication by monomials within the degree bound (a relation
-    met twice, as a set of terms, is closed once) and row-reduced over
-    columns numbered in mono_key order, which is degree-dominant: rows whose
-    pivot sits in degree <= k span exactly the computed ideal section there.
-    The rows are primitive integer rows, the q weights 1/(n! m!) cleared on
+    S is the basis of spec, the algebra of the relations. Every monomial is
+    numbered once, in mono_key order, which is degree-dominant: a row's
+    degree is that of its largest column, and rows whose pivot sits in
+    degree <= k span exactly the computed ideal section there. The
+    relations are numbered on entry and closed as rows under multiplication
+    by monomials within the degree bound, through a product table of
+    columns (a relation met twice, as a set of terms, is closed once). The
+    rows are primitive integer rows, the q weights 1/(n! m!) cleared on
     entry; nf divides once, returns exact rationals, and rejects a monomial
     outside the quotient (the unit, a twisted leaf, a letter outside S).
     """
@@ -568,17 +610,20 @@ class FilteredQuotient:
     def __init__(self, spec: AlgebraSpec, relations: Sequence[Poly], degree_bound: int):
         self.spec = spec
         self.degree_bound = degree_bound
-        self._monos = {n: _monomials(spec.basis, n, 0) for n in range(1, degree_bound + 1)}
+        monos = {n: _monomials(spec.basis, n, 0) for n in range(1, degree_bound + 1)}
         # column -> monomial and back: every monomial numbered once
-        self._columns = sorted(itertools.chain(*self._monos.values()), key=mono_key)
-        self._position = {m: i for i, m in enumerate(self._columns)}
-        rows = self._closure([r for r in relations if not r.is_zero()])
+        self._columns = sorted(itertools.chain(*monos.values()), key=mono_key)
+        self._position = position = {m: i for i, m in enumerate(self._columns)}
+        # mono_key orders by degree first, so the degrees run in blocks
+        self._degree = [n for n, ms in monos.items() for _ in ms]
+        self._by_degree = {n: [position[m] for m in ms] for n, ms in monos.items()}
+        rows = self._closure([self._numbered(r) for r in relations if not r.is_zero()])
         self.space = RowSpace()
         for r in rows:
-            self.space.add(self._numbered(r))
+            self.space.add(r)
         # pivots per degree; the degree-dominant order makes the ones in
         # degree k the relation rank there
-        self._ranks = Counter(degree(self._columns[piv]) for piv in self.space.rows)
+        self._ranks = Counter(self._degree[piv] for piv in self.space.rows)
 
     def _numbered(self, p: Poly) -> Dict[int, object]:
         try:
@@ -588,34 +633,44 @@ class FilteredQuotient:
             raise BoundsError(f"{m} is outside the quotient: degree 1 to {self.degree_bound} "
                               f"over {self.spec.basis}, untwisted") from None
 
-    def _closure(self, relations: Sequence[Poly]) -> List[Poly]:
+    def _closure(self, relations: Sequence[Dict[int, object]]) -> List[Dict[int, object]]:
+        # times_left[j][i] and times_right[j][i] number the products
+        # columns[j] * columns[i] and columns[i] * columns[j]: splitting each
+        # product column once lists every product within the bound
+        times_left: List[Dict[int, int]] = [{} for _ in self._columns]
+        times_right: List[Dict[int, int]] = [{} for _ in self._columns]
+        position = self._position
+        for k, m in enumerate(self._columns):
+            if isinstance(m, Node):
+                i, j = position[m.args[0]], position[m.args[1]]
+                times_left[i][j] = times_right[j][i] = k
         seen = set()
         work = list(relations)
-        out: List[Poly] = []
+        out: List[Dict[int, object]] = []
         while work:
             r = work.pop()
-            key = frozenset(r.terms.items())
-            if key in seen or not key:
+            key = frozenset(r.items())
+            if key in seen:
                 continue
             seen.add(key)
             out.append(r)
-            lead = r.degree()
-            for n in range(1, self.degree_bound - lead + 1):
-                for m in self._monos[n]:
-                    pm = Poly.monomial(m)
-                    work.append(mul(pm, r))
-                    work.append(mul(r, pm))
+            # distinct monomials have distinct products: nothing to collect
+            for n in range(1, self.degree_bound - self._degree[max(r)] + 1):
+                for j in self._by_degree[n]:
+                    left, right = times_left[j], times_right[j]
+                    work.append({left[i]: c for i, c in r.items()})
+                    work.append({right[i]: c for i, c in r.items()})
         return out
 
     def monomials_of_degree(self, n: int) -> List[Monomial]:
-        return list(self._monos[n])
+        return [self._columns[i] for i in self._by_degree[n]]
 
     def nf(self, p: Poly) -> Poly:
         res = self.space.reduce(self._numbered(p))
         return Poly({self._columns[i]: c for i, c in res.items()})
 
     def _graded_dim(self, k: int) -> int:
-        return len(self._monos[k]) - self._ranks[k]
+        return len(self._by_degree[k]) - self._ranks[k]
 
     def filtration_dim(self, k: int) -> int:
         return sum(self._graded_dim(n) for n in range(1, k + 1))
@@ -628,19 +683,6 @@ class FilteredQuotient:
         return {k: (dim, self._ranks[k]) for k, dim in self.graded_dims().items()}
 
 
-def _substitute(
-    template: Poly, letters: Sequence[str], word: Sequence[int], spec: AlgebraSpec
-) -> Poly:
-    """template with letters[i] -> spec.basis[word[i]], expanded through
-    spec.alpha.
-
-    A word that repeats a basis letter merges template monomials; their
-    coefficients are summed."""
-    mapping = {l: spec.basis[i] for l, i in zip(letters, word)}
-    renamed = collect((rename_leaves(m, mapping), c) for m, c in template.terms.items())
-    return expand_exponents(Poly(renamed), spec)
-
-
 def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     """Generators of the enveloping ideal, as elements of K{S}.
 
@@ -648,8 +690,8 @@ def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     <u;a,b> + q(u,a,b) - q(u,b,a) for nonempty basis words u, and Phi(u,v)
     minus the symmetrized q-average wherever Phi tables exist. Each relation
     is a table value minus a symbolic template, one per shape on fixed
-    letters, with the basis letters substituted and expanded through the
-    family's twisting map.
+    letters; the template is compiled once and expanded for each word of
+    basis indices through the family's twisting map.
 
     Phi words are taken one per orbit: u and v each as a sorted multiset of
     basis indices. Phi is symmetric in its u arguments and in its v
@@ -658,36 +700,40 @@ def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     the same relation. Bracket words are all taken, q not being symmetric
     in u.
     """
-    spec = fam.spec
-    basis, dim = spec.basis, spec.dim
-    solver = QSolver()
     relations: List[Poly] = []
+    for table, template, letters, words in _relation_templates(fam, degree_bound):
+        compiled = Template(-template, letters, fam.spec)
+        gens = compiled.gens
+        for word in words:
+            value = ((gens[i], c) for i, c in table.basis_value(word).items())
+            r = collect(itertools.chain(value, expand_exponents(compiled, word)))
+            if r:
+                relations.append(Poly(r))
+    return relations
 
-    def relate(op, template: Poly, letters: Sequence[str], indices) -> None:
-        for idx in indices:
-            value = _vector_poly(op.basis_value(idx), basis)
-            r = value - _substitute(template, letters, idx, spec)
-            if not r.is_zero():
-                relations.append(r)
 
-    a, b = Poly.gen("a"), Poly.gen("b")
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    relate(fam.brackets[0], mul(b, a) - mul(a, b), ("a", "b"), pairs)
+def _relation_templates(fam: OpFamily, degree_bound: int):
+    """(table, template, letters, words) for each shape of enveloping
+    relation: the relation of a word is the table's value on it minus the
+    template with letters[s] standing for basis index word[s]."""
+    dim = fam.spec.dim
+    solver = QSolver()
+    a, b = Leaf("a"), Leaf("b")
+    yield (fam.brackets[0], Poly({mul_mono(b, a): ONE, mul_mono(a, b): -ONE}), ("a", "b"),
+           [(i, j) for i in range(dim) for j in range(i, dim)])
     for n in range(1, min(fam.cutoff, degree_bound - 2) + 1):
         u = tuple(f"u{i}" for i in range(n))
         words = (w for w in itertools.product(range(dim), repeat=n + 2) if w[-2] < w[-1])
-        relate(fam.brackets[n], solver.bracket(u, "a", "b"), (*u, "a", "b"), words)
+        yield fam.brackets[n], solver.bracket(u, "a", "b"), (*u, "a", "b"), words
     for (n, m), phi_op in fam.phi.items():
         if n + m <= degree_bound:
             letters = tuple(f"u{i}" for i in range(n)) + tuple(f"v{j}" for j in range(m))
-            template = solver.phi(letters[:n], letters[n:])
             words = (
                 u + v
                 for u in itertools.combinations_with_replacement(range(dim), n)
                 for v in itertools.combinations_with_replacement(range(dim), m)
             )
-            relate(phi_op, template, letters, words)
-    return relations
+            yield phi_op, solver.phi(letters[:n], letters[n:]), letters, words
 
 
 def u_hom(fam: OpFamily, degree_bound: int) -> FilteredQuotient:
@@ -792,12 +838,15 @@ def check_ideal_coproduct(
     B (x) I + I (x) B. Coproduct summands carry twisting exponents, which are
     expanded through the quotient algebra's twisting map before reduction.
     """
+    spec = quotient.spec
 
     def image(m: Monomial) -> Dict[Monomial, object]:
-        # m expanded through alpha and reduced; the unit part stays as it is
-        p = expand_exponents(Poly.monomial(m), quotient.spec)
-        nf = quotient.nf(Poly({k: c for k, c in p.terms.items() if k is not UNIT}))
-        return collect([*nf.terms.items(), (UNIT, p.coeff(UNIT))])
+        # m expanded through alpha, each basis letter standing for itself,
+        # and reduced; the unit part stays as it is
+        template = Template(Poly.monomial(m), spec.basis, spec)
+        p = collect(expand_exponents(template, range(spec.dim)))
+        unit = p.pop(UNIT, ZERO)
+        return collect([*quotient.nf(Poly(p)).terms.items(), (UNIT, unit)])
 
     report = BialgebraReport(status="pass")
     for pos, r in enumerate(generators):

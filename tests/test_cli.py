@@ -6,7 +6,7 @@ import pytest
 
 from oracles import pbw_dims
 
-from homforge.cli import main
+from homforge.cli import _parser, main
 
 
 def run(capsys, *argv):
@@ -230,6 +230,24 @@ def test_powerassoc_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["seed"] == 7 and doc["condition1"] and doc["condition2"]
+
+
+@pytest.mark.parametrize("first", [
+    ["check", "--algebra", "sl2", "--identity", "lie", "--jobs", "0"],
+    ["--help"],
+    ["check", "--algebra", "sl2", "--twist", "bundled", "--identity", "hom_lie", "--json"],
+], ids=["usage-error", "help", "valid"])
+def test_main_reuses_one_parser(capsys, first):
+    """main builds its parser once per process. After a call that failed to
+    parse, printed help or ran with other options, a call gives the exit
+    code and report of a call on a freshly built parser."""
+    argv = ["check", "--algebra", "sl2", "--identity", "lie", "--json"]
+    _parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0 and json.loads(fresh[1])["status"] == "pass"
+    _parser.cache_clear()
+    run(capsys, *first)
+    assert run(capsys, *argv) == fresh
 
 
 def test_usage_errors(capsys):

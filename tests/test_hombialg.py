@@ -3,6 +3,7 @@
 
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,10 @@ from homforge.expr import (
     alpha_mono,
     apply_op,
     collect,
+    degree,
+    expand,
     leaves,
+    lincomb,
     map_leaves,
     mono_key,
     mul,
@@ -43,11 +47,13 @@ from homforge.fdalg import (
 from homforge.hombialg import (
     _PhiComponent,
     _build_from_shape,
+    _relation_templates,
     _shape_depths,
-    _substitute,
     _tree_shapes,
     BoundsError,
+    FilteredQuotient,
     FreeHomAssocQuotient,
+    Template,
     TensorElement,
     alpha_injectivity_probe,
     antipode,
@@ -73,7 +79,7 @@ from homforge.hombialg import (
 from homforge.homify import hom_associator, homify_identity
 from homforge.linalg import RowSpace
 from homforge.qops import QSolver, yiii_hom
-from homforge.rationals import rat
+from homforge.rationals import ONE, rat
 
 V = Poly.gen
 
@@ -484,6 +490,13 @@ def test_u_hom_nonzero_alpha_smoke():
         u_hom(fam, 4)
 
 
+def _expand(p, spec, letters=None, word=None):
+    """p expanded through spec.alpha by the compiled kernel: by default the
+    basis letters stand for themselves."""
+    template = Template(p, spec.basis if letters is None else letters, spec)
+    return Poly(collect(expand_exponents(template, range(spec.dim) if word is None else word)))
+
+
 def _direct_u_hom_relations(fam, alpha, degree_bound):
     """The enveloping relations from QSolver run on the basis letters
     themselves, over every word: no template, no renaming and no orbits."""
@@ -505,12 +518,12 @@ def _direct_u_hom_relations(fam, alpha, degree_bound):
         for idx in itertools.product(range(dim), repeat=n + 2):
             if idx[-2] < idx[-1]:
                 q = s.bracket(word(idx[:-2]), basis[idx[-2]], basis[idx[-1]])
-                out.append(vec(fam.brackets[n].basis_value(idx)) - expand_exponents(q, spec))
+                out.append(vec(fam.brackets[n].basis_value(idx)) - _expand(q, spec))
     for (n, m), op in fam.phi.items():
         if n + m <= degree_bound:
             for idx in itertools.product(range(dim), repeat=n + m):
                 q = s.phi(word(idx[:n]), word(idx[n:]))
-                out.append(vec(op.basis_value(idx)) - expand_exponents(q, spec))
+                out.append(vec(op.basis_value(idx)) - _expand(q, spec))
     return [r for r in out if not r.is_zero()]
 
 
@@ -572,8 +585,9 @@ def test_substitution_sums_colliding_monomials():
     s = QSolver()
     template = s.q(("u0", "u1"), ("v0",), "zz")
     assert len(template.terms) == 6
-    got = _substitute(template, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2), spec)
-    assert got == expand_exponents(s.q(("h", "h"), ("x",), "y"), spec)
+    got = _expand(template, spec, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2))
+    assert got == _expand(s.q(("h", "h"), ("x",), "y"), spec)
+    assert got == _rename_then_expand(template, ("u0", "u1", "v0", "zz"), (0, 0, 1, 2), spec)
 
 
 def _expand_node_by_node(p, basis, alpha):
@@ -638,7 +652,118 @@ def test_expand_exponents_matches_node_by_node_expansion(case):
     node-by-node expansion."""
     p, basis, alpha = case
     spec = AlgebraSpec(len(basis), basis, {}, alpha)
-    assert expand_exponents(p, spec) == _expand_node_by_node(p, basis, alpha)
+    assert _expand(p, spec) == _expand_node_by_node(p, basis, alpha)
+
+
+def _rename_then_expand(template, letters, word, spec):
+    """The former substitution: each template monomial renamed to the
+    word's basis letters, then each leaf expanded through alpha and the
+    whole tree rebuilt for every choice of one entry per leaf."""
+    mapping = {l: spec.basis[i] for l, i in zip(letters, word)}
+    renamed = collect((rename_leaves(m, mapping), c) for m, c in template.terms.items())
+
+    def leaf_terms(l):
+        if l.exp == 0:
+            return {l: ONE}
+        column = spec.alpha_columns(l.exp)[spec.basis_index(l.base)]
+        return {Leaf(spec.basis[i], 0): c for i, c in column.items()}
+
+    def mono_terms(m):
+        if m is UNIT:
+            return {UNIT: ONE}
+
+        def rebuild(*chosen):
+            it = iter(chosen)
+            return map_leaves(m, lambda _: next(it))
+
+        return expand([leaf_terms(l) for l in leaves(m)], rebuild)
+
+    return Poly(lincomb((c, mono_terms(m)) for m, c in renamed.items()))
+
+
+@pytest.mark.parametrize("spec", [
+    hom_version(builtin_algebra("sl2")),
+    AlgebraSpec(2, ("p", "q"), {"mu": MultilinearOp.zero("mu", 2, 2)}, ((1, -2), (2, 1))),
+], ids=["sl2", "zero-product"])
+def test_compiled_templates_match_rename_then_expand(spec):
+    """Every template u_hom_relations uses at degree 4 (the lie family
+    reaches the Phi shapes (1, 2), (1, 3) and (2, 2)), compiled once and
+    expanded over every word, repeated letters included, equals renaming
+    the template to the word's letters and expanding leaf by leaf."""
+    fam = sabinin_from(spec, "lie", 2)
+    templates = list(_relation_templates(fam, 4))
+    assert len(templates) == 6
+    exps = set()
+    for _, template, letters, _ in templates:
+        compiled = Template(template, letters, spec)
+        exps |= {k for _, k in compiled.slots}
+        for word in itertools.product(range(spec.dim), repeat=len(letters)):
+            got = Poly(collect(expand_exponents(compiled, word)))
+            assert got == _rename_then_expand(template, letters, word, spec), (letters, word)
+    assert exps == {0, 1, 2}
+
+
+def _closure_by_trees(quotient, relations):
+    """The former FilteredQuotient closure: each relation multiplied by each
+    monomial as Poly trees, numbered only afterwards."""
+    seen, work, out = set(), [r for r in relations if not r.is_zero()], []
+    while work:
+        r = work.pop()
+        key = frozenset(r.terms.items())
+        if key in seen or not key:
+            continue
+        seen.add(key)
+        out.append(r)
+        for n in range(1, quotient.degree_bound - r.degree() + 1):
+            for m in quotient.monomials_of_degree(n):
+                pm = Poly.monomial(m)
+                work.append(mul(pm, r))
+                work.append(mul(r, pm))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.sampled_from(["yiii", "lie"]),
+    st.integers(2, 4),
+)
+def test_closure_over_columns_matches_closure_by_trees(entries, cls, d):
+    """Closing the numbered relations through the column product table
+    gives the echelon rows and the report of closing them as trees. On the
+    zero product every relation is homogeneous."""
+    alpha = (tuple(entries[:2]), tuple(entries[2:]))
+    spec = AlgebraSpec(2, ("p", "q"), {"mu": MultilinearOp.zero("mu", 2, 2)}, alpha)
+    _assert_closure_matches_trees(spec, cls, d)
+
+
+@pytest.mark.parametrize("name, cls", [("sl2", "lie"), ("heis3", "yiii")])
+def test_inhomogeneous_closure_matches_closure_by_trees(name, cls):
+    """The bracket relations of a nonzero product join degree 1 to degree
+    2, so a row's degree must be its highest term's."""
+    _assert_closure_matches_trees(hom_version(builtin_algebra(name)), cls, 4)
+
+
+def _assert_closure_matches_trees(spec, cls, d):
+    fam = yiii_hom(spec, d - 2) if cls == "yiii" else sabinin_from(spec, cls, d - 2)
+    rels = u_hom_relations(fam, d)
+    U = FilteredQuotient(spec, rels, d)
+    space = RowSpace()
+    for r in _closure_by_trees(U, rels):
+        space.add(U._numbered(r))
+    assert U.space.rows == space.rows
+    monos = {n: U.monomials_of_degree(n) for n in range(1, d + 1)}
+    ranks = Counter(degree(U._columns[piv]) for piv in space.rows)
+    assert U.report() == {n: (len(ms) - ranks[n], ranks[n]) for n, ms in monos.items()}
+
+
+@pytest.mark.parametrize("outside", ["A^1(x)", "1"])
+def test_filtered_quotient_rejects_relations_outside_it(outside):
+    """A relation holding a twisted leaf or the unit is no row of the
+    quotient: building it raises, naming the bound."""
+    spec = hom_version(builtin_algebra("sl2"))
+    with pytest.raises(BoundsError, match="outside the quotient"):
+        FilteredQuotient(spec, [parse_poly(f"{outside} - h*x")], 3)
 
 
 def test_ideal_coproduct_membership_alpha_zero():
