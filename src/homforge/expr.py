@@ -193,10 +193,6 @@ def map_leaves(m: Monomial, f) -> Monomial:
     return Node(m.op, tuple(map_leaves(a, f) for a in m.args))
 
 
-def rename_leaves(m: Monomial, mapping: Dict[str, str]) -> Monomial:
-    return map_leaves(m, lambda l: Leaf(mapping.get(l.base, l.base), l.exp))
-
-
 def mono_key(m: Monomial):
     """Total order: degree, then tree shape (preorder arity sequence with op
     symbols), then leaves by (base, exp). Used for deterministic printing.

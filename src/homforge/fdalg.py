@@ -13,11 +13,11 @@ import functools
 import itertools
 import json
 import os
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
+    BINARY,
     MUL,
     Leaf,
     Monomial,
@@ -881,11 +881,9 @@ def hom_power(spec: AlgebraSpec, v: Vector, n: int) -> Vector:
 class PowerReport:
     status: str
     max_power: int
-    samples: int
-    seed: int
     condition1: bool = True
     condition2: bool = True
-    witnesses: List[tuple] = field(default_factory=list)
+    witnesses: List[tuple] = field(default_factory=list)  # (x, relation)
     notes: List[str] = field(default_factory=list)
 
     @property
@@ -896,8 +894,6 @@ class PowerReport:
         return {
             "status": self.status,
             "max_power": self.max_power,
-            "samples": self.samples,
-            "seed": self.seed,
             "condition1": self.condition1,
             "condition2": self.condition2,
             "witnesses": [
@@ -907,67 +903,63 @@ class PowerReport:
         }
 
 
-def _sample_vectors(spec: AlgebraSpec, samples: int, seed: int) -> List[Tuple[str, Vector]]:
-    rng = random.Random(seed)
-    out = [(spec.basis[i], spec.basis_vector(i)) for i in range(spec.dim)]
-    for s in range(samples):
-        x = lincomb(
-            (rat(rng.randint(-9, 9), rng.randint(1, 9)), spec.basis_vector(i))
-            for i in range(spec.dim)
-        )
-        out.append((f"sample{s}", x))
-    return out
+def check_power_associative(spec: AlgebraSpec, max_power: int = 6) -> PowerReport:
+    """Decide x^(n+m) = alpha^(m-1)(x^n) . alpha^(n-1)(x^m) for n+m <= max_power,
+    where x^1 = x and x^k = x^(k-1) . alpha^(k-2)(x).
 
+    Also decides the two low-degree conditions (1) x^2 alpha(x) =
+    alpha(x) x^2, x^4 = alpha(x^2) alpha(x^2) and (2) (x,x,x)_alpha = 0 =
+    (x^2, alpha(x), alpha(x))_alpha, and notes whether the implication
+    "conditions hold => Hom-power associative" held in range.
 
-def check_power_associative(
-    spec: AlgebraSpec, max_power: int = 6, samples: int = 100, seed: int = 2024
-) -> PowerReport:
-    """Check x^(n+m) = alpha^(m-1)(x^n) . alpha^(n-1)(x^m) for n+m <= max_power.
-
-    Also evaluates the two equivalent low-degree conditions
-    x^2 alpha(x) = alpha(x) x^2, x^4 = alpha(x^2) alpha(x^2) and
-    (x,x,x)_alpha = 0 = (x^2, alpha(x), alpha(x))_alpha, and reports whether
-    the implication "conditions hold => Hom-power associative" was observed.
+    Each relation is a tree in one variable x, homogeneous of degree N, with
+    alpha pushed onto its leaves; that is valid only for a multiplicative
+    alpha, so a non-multiplicative one fails first. check_identity evaluates
+    a relation of degree N at every sum of up to N basis vectors, and a form
+    of degree N vanishing there is zero over a field of characteristic 0, so
+    the verdict is exact. A witness is the failing sum and the relation.
     """
     if sum(1 for o in spec.ops.values() if o.arity == 2) != 1 or MUL not in spec.ops:
         raise FdalgError("power associativity needs a single binary product")
     if max_power < 2:
         raise FdalgError("max_power must be at least 2")
     ok_mult, witness = is_multiplicative(spec)
-    report = PowerReport(
-        status="pass", max_power=max_power, samples=samples, seed=seed
-    )
+    report = PowerReport(status="pass", max_power=max_power)
     if not ok_mult:
         report.notes.append(f"alpha is not multiplicative; witness {witness_str(witness)}")
         report.status = "fail"
         return report
-    mu = spec.ops[MUL]
-    for label, x in _sample_vectors(spec, samples, seed):
-        powers = {n: hom_power(spec, x, n) for n in range(1, max_power + 1)}
-        al = spec.apply_alpha_vec
-        x2, x4 = powers[2], powers.get(4)
-        lhs1 = mu.eval([x2, al(x, 1)])
-        rhs1 = mu.eval([al(x, 1), x2])
-        if lhs1 != rhs1:
-            report.condition1 = False
-        if max_power >= 4 and x4 != mu.eval([al(x2, 1), al(x2, 1)]):
-            report.condition1 = False
-        assoc = (
-            mu.eval([mu.eval([x, x]), al(x, 1)]) == mu.eval([al(x, 1), mu.eval([x, x])])
-        )
-        assoc2 = (
-            mu.eval([mu.eval([x2, al(x, 1)]), al(x, 2)])
-            == mu.eval([al(x2, 1), mu.eval([al(x, 1), al(x, 1)])])
-        )
-        if not (assoc and assoc2):
-            report.condition2 = False
-        for n in range(1, max_power):
-            for m in range(1, max_power - n + 1):
-                lhs = powers[n + m]
-                rhs = mu.eval([al(powers[n], m - 1), al(powers[m], n - 1)])
-                if lhs != rhs:
-                    report.status = "fail"
-                    report.witnesses.append((label, f"x^{n + m} != a^{m - 1}(x^{n}) a^{n - 1}(x^{m})"))
+    x, al = Poly.gen("x"), apply_alpha
+    power = {1: x}
+    for k in range(2, max_power + 1):
+        power[k] = mul(power[k - 1], al(x, k - 2))
+    x2 = power[2]
+    condition1 = [mul(x2, al(x, 1)) - mul(al(x, 1), x2)]
+    if max_power >= 4:
+        condition1.append(power[4] - mul(al(x2, 1), al(x2, 1)))
+    condition2 = [
+        mul(mul(x, x), al(x, 1)) - mul(al(x, 1), mul(x, x)),
+        mul(mul(x2, al(x, 1)), al(x, 2)) - mul(al(x2, 1), mul(al(x, 1), al(x, 1))),
+    ]
+    powers: List[Poly] = []
+    relation: Dict[str, str] = {}  # check_identity's witness label -> relation
+    for n in range(1, max_power):
+        for m in range(1, max_power - n + 1):
+            ident = power[n + m] - mul(al(power[n], m - 1), al(power[m], n - 1))
+            if not ident.is_zero():  # m = 1 is the definition of x^(n+1)
+                relation[f"powers[{len(powers)}]"] = (
+                    f"x^{n + m} != a^{m - 1}(x^{n}) a^{n - 1}(x^{m})"
+                )
+                powers.append(ident)
+
+    def check(name: str, identities: List[Poly]) -> CheckReport:
+        return check_identity(spec, IdentitySystem(name, BINARY, tuple(identities), True))
+
+    report.condition1 = check("condition1", condition1).ok
+    report.condition2 = check("condition2", condition2).ok
+    found = check("powers", powers)
+    report.status = found.status
+    report.witnesses = [(labels["x"], relation[label]) for label, labels, _ in found.witnesses]
     if report.condition1 and report.condition2 and report.ok:
         report.notes.append(
             "conditions (1) and (2) hold and all checked Hom-power identities hold"

@@ -134,3 +134,65 @@ def eval_poly(spec, p, assignment):
     from homforge.expr import lincomb
 
     return lincomb((c, eval_monomial(spec, m, assignment)) for m, c in p.terms.items())
+
+
+def sampled_power_check(spec, max_power=6, samples=100, seed=2024):
+    """The Hom-power check on the basis vectors and `samples` seeded random
+    vectors, each power computed by fdalg.hom_power: a pass here is only
+    probably right, a fail is certain. Returns an fdalg.PowerReport whose
+    witnesses are (vector label, relation) pairs for every failure."""
+    import random
+
+    from homforge.expr import MUL, lincomb
+    from homforge.fdalg import PowerReport, hom_power, is_multiplicative, witness_str
+    from homforge.rationals import rat
+
+    ok_mult, witness = is_multiplicative(spec)
+    report = PowerReport(status="pass", max_power=max_power)
+    if not ok_mult:
+        report.notes.append(f"alpha is not multiplicative; witness {witness_str(witness)}")
+        report.status = "fail"
+        return report
+    rng = random.Random(seed)
+    vectors = [(spec.basis[i], spec.basis_vector(i)) for i in range(spec.dim)]
+    for s in range(samples):
+        x = lincomb(
+            (rat(rng.randint(-9, 9), rng.randint(1, 9)), spec.basis_vector(i))
+            for i in range(spec.dim)
+        )
+        vectors.append((f"sample{s}", x))
+    mu, al = spec.ops[MUL], spec.apply_alpha_vec
+    for label, x in vectors:
+        powers = {n: hom_power(spec, x, n) for n in range(1, max_power + 1)}
+        x2, x4 = powers[2], powers.get(4)
+        if mu.eval([x2, al(x, 1)]) != mu.eval([al(x, 1), x2]):
+            report.condition1 = False
+        if max_power >= 4 and x4 != mu.eval([al(x2, 1), al(x2, 1)]):
+            report.condition1 = False
+        assoc = (
+            mu.eval([mu.eval([x, x]), al(x, 1)]) == mu.eval([al(x, 1), mu.eval([x, x])])
+        )
+        assoc2 = (
+            mu.eval([mu.eval([x2, al(x, 1)]), al(x, 2)])
+            == mu.eval([al(x2, 1), mu.eval([al(x, 1), al(x, 1)])])
+        )
+        if not (assoc and assoc2):
+            report.condition2 = False
+        for n in range(1, max_power):
+            for m in range(1, max_power - n + 1):
+                if powers[n + m] != mu.eval([al(powers[n], m - 1), al(powers[m], n - 1)]):
+                    report.status = "fail"
+                    report.witnesses.append(
+                        (label, f"x^{n + m} != a^{m - 1}(x^{n}) a^{n - 1}(x^{m})")
+                    )
+    if report.condition1 and report.condition2 and report.ok:
+        report.notes.append(
+            "conditions (1) and (2) hold and all checked Hom-power identities hold"
+        )
+    elif (report.condition1 and report.condition2) and not report.ok:
+        report.notes.append(
+            "conditions hold but a power identity failed: theorem violated in range"
+        )
+    else:
+        report.notes.append("low-degree conditions fail; no implication expected")
+    return report

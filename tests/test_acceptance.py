@@ -313,11 +313,12 @@ def test_criterion_10_yiii_property():
 
 
 def test_criterion_11_power_associativity():
-    """x^(n+m) = a^(m-1)(x^n) a^(n-1)(x^m) for n+m <= 6 on basis vectors and
-    100 seeded samples, with the two degenerate instances verbatim."""
+    """x^(n+m) = a^(m-1)(x^n) a^(n-1)(x^m) for n+m <= 6, decided exactly,
+    and the two degenerate instances verbatim on basis vectors and 100
+    seeded samples, each power computed by hom_power."""
     with _Timer("criterion 11 (Hom-power associativity)", 60.0):
         spec = hom_version(builtin_algebra("k3prod"))
-        report = check_power_associative(spec, max_power=6, samples=100, seed=2024)
+        report = check_power_associative(spec, max_power=6)
         assert report.ok and report.condition1 and report.condition2
         mu = spec.ops["mu"]
         import random

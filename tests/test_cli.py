@@ -223,13 +223,16 @@ def test_sabinin_cli(capsys):
 
 
 def test_powerassoc_cli(capsys):
-    code, out, _ = run(
-        capsys, "powerassoc", "--algebra", "k3prod", "--twist", "bundled",
-        "--max", "5", "--samples", "10", "--seed", "7", "--json",
-    )
+    argv = ["powerassoc", "--algebra", "k3prod", "--twist", "bundled", "--max", "5"]
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["seed"] == 7 and doc["condition1"] and doc["condition2"]
+    assert doc["condition1"] and doc["condition2"]
+    assert "seed" not in doc and "samples" not in doc
+    # the check is exact, so it has no sampling options
+    for option in ("--samples", "--seed"):
+        code, out, err = run(capsys, *argv, option, "5")
+        assert code == 2 and not out and option in err
 
 
 @pytest.mark.parametrize("first", [
@@ -327,14 +330,16 @@ def test_identity_trees_must_match_their_signature(capsys, tmp_path, tree, named
         (["sabinin", "--algebra", "sl2", "--cutoff", "-1"], "--cutoff"),
         (["envelope", "--algebra", "sl2", "--degree", "0"], "--degree"),
         (["powerassoc", "--algebra", "k3prod", "--max", "1"], "--max"),
-        (["powerassoc", "--algebra", "k3prod", "--samples", "-1"], "--samples"),
         (["qalpha", "--n", "-1", "--m", "1", "--algebra", "sl2", "--args", ";x;h"], "--n"),
         (["qalpha", "--n", "1", "--m", "-1", "--algebra", "sl2", "--args", "h;;h"], "--m"),
         (["qalpha", "--n", "1", "--m", "1", "--algebra", "sl2", "--args", "h;w;h"], "'w'"),
+        (["antipode", "--word", "(a*b)*c", "--degree", "0"], "--degree"),
+        (["antipode", "--word", "(a*b)*c", "--exp-bound", "-1"], "--exp-bound"),
     ],
     ids=[
         "jobs-0", "jobs-negative", "cutoff-negative", "degree-0", "max-1",
-        "samples-negative", "n-negative", "m-negative", "unknown-basis-letter",
+        "n-negative", "m-negative", "unknown-basis-letter", "antipode-degree-0",
+        "exp-bound-negative",
     ],
 )
 def test_integer_options_and_basis_letters_are_checked(capsys, argv, named):

@@ -9,13 +9,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from oracles import eval_poly as oracle_eval_poly, op_eval
+from oracles import eval_poly as oracle_eval_poly, op_eval, sampled_power_check
 
 from homforge.expr import Leaf, Node, Poly, collect, leaves, parse_poly
 from homforge.fdalg import (
     _walk,
     AlgebraSpec,
     FdalgError,
+    MAX_WITNESSES,
     MultilinearOp,
     akivis_ops,
     builtin_algebra,
@@ -366,11 +367,11 @@ def test_sign_flip_mutant_passes_at_n0(sl2):
 
 def test_hom_power_and_power_associativity():
     k3 = hom_version(builtin_algebra("k3prod"))
-    report = check_power_associative(k3, max_power=6, samples=25, seed=11)
+    report = check_power_associative(k3, max_power=6)
     assert report.ok and report.condition1 and report.condition2
     # commutative associative with alpha = id: everything holds trivially
     plain = classical(builtin_algebra("k3prod"))
-    assert check_power_associative(plain, max_power=5, samples=5, seed=1).ok
+    assert check_power_associative(plain, max_power=5).ok
     # x^4 = ((x x) a(x)) a^2(x) by definition
     x = {0: rat(1), 1: rat(2), 2: rat(3)}
     mu = k3.ops["mu"]
@@ -382,7 +383,7 @@ def test_hom_power_and_power_associativity():
 def test_power_associativity_failure_detected(sl2):
     """The Lie bracket is wildly non-power-associative: x^2 = 0 but mixed
     powers of sums expose the failure through condition (2) instead."""
-    report = check_power_associative(classical(sl2), max_power=4, samples=10, seed=3)
+    report = check_power_associative(classical(sl2), max_power=4)
     # [x,x] = 0 makes every power >= 2 vanish, so the power identities hold;
     # conditions also hold; this is a degenerate pass
     assert report.ok
@@ -390,8 +391,53 @@ def test_power_associativity_failure_detected(sl2):
 
 def test_non_multiplicative_power_check_fails(sl2):
     bad = sl2.with_alpha(matrix([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]))
-    report = check_power_associative(bad, max_power=4, samples=2, seed=5)
+    report = check_power_associative(bad, max_power=4)
     assert not report.ok
+
+
+def _verdict(report):
+    return report.status, report.condition1, report.condition2, report.notes
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis3", "abelian3", "c_example", "k3prod", "octonions"])
+def test_power_check_matches_sampled_oracle(name):
+    """The exact check gives the sampled check's verdict on every bundled
+    algebra, classical, twisted and with its stored alpha. Octonions run at
+    max power 4 only: their sampled check takes seconds at 6."""
+    spec = builtin_algebra(name)
+    for form in (classical(spec), hom_version(spec), spec):
+        for max_power in (4,) if name == "octonions" else (4, 6):
+            exact = check_power_associative(form, max_power=max_power)
+            assert _verdict(exact) == _verdict(sampled_power_check(form, max_power))
+            assert len(exact.witnesses) <= MAX_WITNESSES
+
+
+def _two_dim(entries):
+    """A product on span{a, b} with alpha = id, so alpha is multiplicative."""
+    mu = MultilinearOp("mu", 2, 2, entries)
+    return AlgebraSpec(2, ["a", "b"], {"mu": mu}, identity_matrix(2))
+
+
+def test_power_check_fails_on_a_basis_vector():
+    """a.a = b, b.a = a: x = a gives x^3 = b.a = a but a(x) x^2 = a.b = 0."""
+    spec = _two_dim({(0, 0): {1: ONE}, (1, 0): {0: ONE}})
+    report = check_power_associative(spec, max_power=6)
+    assert not report.ok and not report.condition1 and not report.condition2
+    assert report.witnesses[0] == ("a", "x^3 != a^1(x^1) a^0(x^2)")
+    assert 0 < len(report.witnesses) <= MAX_WITNESSES
+
+
+def test_power_check_fails_only_off_the_basis():
+    """a.b = a and every other product 0: every power of a basis vector
+    from x^2 on is 0, but x = a + b has x^2 = x^3 = a and a(x) x^2 = b.a = 0.
+    Only the polarization sums see it; basis vectors alone pass."""
+    spec = _two_dim({(0, 1): {0: ONE}})
+    report = check_power_associative(spec, max_power=6)
+    assert not report.ok and not report.condition1
+    assert report.witnesses[0] == ("a+b", "x^3 != a^1(x^1) a^0(x^2)")
+    assert all("+" in vector for vector, _ in report.witnesses)
+    assert sampled_power_check(spec, max_power=6, samples=0).ok
+    assert not sampled_power_check(spec, max_power=6).ok
 
 
 def test_main_theorem_suite():

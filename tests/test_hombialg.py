@@ -33,7 +33,6 @@ from homforge.expr import (
     mul,
     mul_mono,
     parse_poly,
-    rename_leaves,
     render_poly,
 )
 from homforge.fdalg import (
@@ -556,7 +555,8 @@ def test_phi_template_is_symmetric_in_u_and_in_v(n, m):
             assert s.phi(su, sv) == template, (su, sv)
             renamed = dict(zip(u + v, su + sv))
             assert collect(
-                (rename_leaves(mono, renamed), c) for mono, c in template.terms.items()
+                (map_leaves(mono, lambda l: l._replace(base=renamed.get(l.base, l.base))), c)
+                for mono, c in template.terms.items()
             ) == template.terms, (su, sv)
 
 
@@ -660,7 +660,10 @@ def _rename_then_expand(template, letters, word, spec):
     word's basis letters, then each leaf expanded through alpha and the
     whole tree rebuilt for every choice of one entry per leaf."""
     mapping = {l: spec.basis[i] for l, i in zip(letters, word)}
-    renamed = collect((rename_leaves(m, mapping), c) for m, c in template.terms.items())
+    renamed = collect(
+        (map_leaves(m, lambda l: l._replace(base=mapping.get(l.base, l.base))), c)
+        for m, c in template.terms.items()
+    )
 
     def leaf_terms(l):
         if l.exp == 0:

@@ -14,9 +14,9 @@ from homforge.expr import (
     apply_op,
     collect,
     leaves,
+    map_leaves,
     mul,
     parse_poly,
-    rename_leaves,
 )
 from homforge.homify import (
     HomifyError,
@@ -121,12 +121,12 @@ def test_exponent_recount_up_to_six_leaves():
 def test_homify_commutes_with_renaming():
     p = parse_poly("((a*b)*c) - (a*(b*c)) + tri(a,b,c)")
     mapping = {"a": "p", "b": "q", "c": "r"}
-    lhs = homify_identity(
-        Poly({rename_leaves(m, mapping): c for m, c in p.terms.items()})
-    )
-    rhs = Poly(
-        {rename_leaves(m, mapping): c for m, c in homify_identity(p).terms.items()}
-    )
+
+    def rename(m):
+        return map_leaves(m, lambda l: l._replace(base=mapping[l.base]))
+
+    lhs = homify_identity(Poly({rename(m): c for m, c in p.terms.items()}))
+    rhs = Poly({rename(m): c for m, c in homify_identity(p).terms.items()})
     assert lhs == rhs
 
 

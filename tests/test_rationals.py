@@ -39,3 +39,19 @@ def test_true_division_only_in_rationals():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, "true division outside rationals.py:\n" + "\n".join(offenders)
+
+
+def test_no_module_imports_random():
+    """Every verdict is exact, so nothing in the package draws random samples."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, "random imported:\n" + "\n".join(offenders)
