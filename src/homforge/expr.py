@@ -290,7 +290,7 @@ class Poly:
         c = rat(c)
         if c == 0:
             return self.zero()
-        return type(self)({m: c * v for m, v in self.terms.items()})
+        return type(self)({m: rat(c * v) for m, v in self.terms.items()})
 
     def __rmul__(self, c) -> "Poly":
         return self.scaled(c)

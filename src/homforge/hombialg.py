@@ -3,8 +3,9 @@
 The coproduct here makes generators primitive and is extended as an algebra
 morphism into the componentwise tensor product; multiplication by the unit
 applies the twisting map, which is what separates this coproduct from the
-classical one. Two independent algorithms compute it: the recursive morphism
-extension and a direct partition-labeling rule, cross-checked in the tests.
+classical one. delta computes it by the recursive morphism extension;
+delta_summand gives one summand by the direct partition-labeling rule, which
+the tests sum over all partitions as an independent check.
 
 Quotients are degree/exponent bounded: ideal membership inside the bounds is
 decided by exact row reduction; a nonzero normal form in a truncated
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from math import lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -181,15 +183,6 @@ def delta_summand(m: Monomial, part1: Iterable[int]) -> Tuple[Monomial, Monomial
     return (left if left is not None else UNIT, right if right is not None else UNIT)
 
 
-def delta_by_partitions(m: Monomial) -> TensorElement:
-    """The coproduct as the sum of delta_summand over all ordered partitions."""
-    n = degree(m)
-    return TensorElement(collect(
-        (delta_summand(m, (i for i in range(n) if mask >> i & 1)), ONE)
-        for mask in range(1 << n)
-    ))
-
-
 # ---------------------------------------------------------------------------
 # Antipode
 
@@ -261,6 +254,11 @@ def _tree_shapes(n: int, _cache={}) -> List:
                     out.append((ls, rs))
     _cache[n] = out
     return out
+
+
+def _shape_key(shape) -> Tuple[int, ...]:
+    """A shape's preorder arity sequence, which mono_key orders trees by."""
+    return (0,) if shape is None else (2, *_shape_key(shape[0]), *_shape_key(shape[1]))
 
 
 def _shape_depths(shape, depth=0) -> List[int]:
@@ -598,28 +596,41 @@ class FilteredQuotient:
     S is the basis of spec, the algebra of the relations. Every monomial is
     numbered once, in mono_key order, which is degree-dominant: a row's
     degree is that of its largest column, and rows whose pivot sits in
-    degree <= k span exactly the computed ideal section there. The
-    relations are numbered on entry and closed as rows under multiplication
-    by monomials within the degree bound, through a product table of
-    columns (a relation met twice, as a set of terms, is closed once). The
-    rows are primitive integer rows, the q weights 1/(n! m!) cleared on
-    entry; nf divides once, returns exact rationals, and rejects a monomial
-    outside the quotient (the unit, a twisted leaf, a letter outside S).
+    degree <= k span exactly the computed ideal section there. The columns
+    are enumerated in that order, not sorted into it: degree by degree,
+    shapes by preorder arity sequence, then leaf words over the letters of
+    S in sorted order (not basis order). The relations are numbered on
+    entry and closed as rows under multiplication by monomials within the
+    degree bound, through a product table of columns (a relation met twice,
+    as a set of terms, is closed once); the rows are added in pivot order.
+    The stored rows are primitive integer rows; nf divides once, returns
+    exact rationals, and rejects a monomial outside the quotient (the unit,
+    a twisted leaf, a letter outside S).
     """
 
     def __init__(self, spec: AlgebraSpec, relations: Sequence[Poly], degree_bound: int):
         self.spec = spec
         self.degree_bound = degree_bound
-        monos = {n: _monomials(spec.basis, n, 0) for n in range(1, degree_bound + 1)}
-        # column -> monomial and back: every monomial numbered once
-        self._columns = sorted(itertools.chain(*monos.values()), key=mono_key)
-        self._position = position = {m: i for i, m in enumerate(self._columns)}
-        # mono_key orders by degree first, so the degrees run in blocks
-        self._degree = [n for n, ms in monos.items() for _ in ms]
-        self._by_degree = {n: [position[m] for m in ms] for n, ms in monos.items()}
+        # column -> monomial and back, in mono_key order: a shape's trees,
+        # its subtrees' trees multiplied left-major, come in leaf-word order
+        trees = {None: [Leaf(b, 0) for b in sorted(spec.basis)]}
+        self._columns: List[Monomial] = []
+        self._by_degree: Dict[int, range] = {}
+        for n in range(1, degree_bound + 1):
+            start = len(self._columns)
+            for shape in sorted(_tree_shapes(n), key=_shape_key):
+                if shape is not None:
+                    trees[shape] = [Node(MUL, (a, b)) for a in trees[shape[0]]
+                                    for b in trees[shape[1]]]
+                self._columns.extend(trees[shape])
+            self._by_degree[n] = range(start, len(self._columns))
+        self._position = {m: i for i, m in enumerate(self._columns)}
+        self._degree = [n for n, block in self._by_degree.items() for _ in block]
         rows = self._closure([self._numbered(r) for r in relations if not r.is_zero()])
         self.space = RowSpace()
-        for r in rows:
+        # in pivot order a stored row seldom holds a new pivot; the fully
+        # reduced basis of the span is the same in any order
+        for r in sorted(rows, key=max):
             self.space.add(r)
         # pivots per degree; the degree-dominant order makes the ones in
         # degree k the relation rank there
@@ -699,13 +710,19 @@ def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     permutation groups) and so is the q-average, so a permuted word gives
     the same relation. Bracket words are all taken, q not being symmetric
     in u.
+
+    Each relation is scaled by L, the lcm of its template's denominators
+    (the q weights 1/(n! m!)): a positive integer multiple of table value
+    minus template, so the ideal is the same, and with an integral table
+    and twisting map every coefficient is an int.
     """
     relations: List[Poly] = []
     for table, template, letters, words in _relation_templates(fam, degree_bound):
-        compiled = Template(-template, letters, fam.spec)
+        scale = lcm(*(int(c.denominator) for c in template.terms.values()))
+        compiled = Template(template.scaled(-scale), letters, fam.spec)
         gens = compiled.gens
         for word in words:
-            value = ((gens[i], c) for i, c in table.basis_value(word).items())
+            value = ((gens[i], rat(c * scale)) for i, c in table.basis_value(word).items())
             r = collect(itertools.chain(value, expand_exponents(compiled, word)))
             if r:
                 relations.append(Poly(r))

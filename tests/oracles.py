@@ -101,6 +101,20 @@ def pbw_dims(dim: int, max_degree: int) -> dict:
     }
 
 
+def delta_by_partitions(m):
+    """The coproduct of a monomial as the sum of hombialg.delta_summand over
+    every ordered partition of its leaf positions: the partition-labeling
+    rule, independent of the recursive hombialg.delta."""
+    from homforge.expr import collect, degree
+    from homforge.hombialg import TensorElement, delta_summand
+
+    n = degree(m)
+    return TensorElement(collect(
+        (delta_summand(m, (i for i in range(n) if mask >> i & 1)), 1)
+        for mask in range(1 << n)
+    ))
+
+
 def op_eval(op, args):
     """A MultilinearOp on the vectors args, by its definition: the sum over
     every choice of one coordinate per argument of the product of the

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     all_binary_monomials,
+    delta_by_partitions,
     enumerate_commutative_trees,
     enumerate_pairswap_trees,
     we_colored_counts,
@@ -49,7 +50,6 @@ from homforge.hombialg import (
     TensorElement,
     check_antipode,
     delta,
-    delta_by_partitions,
     is_primitive,
     pi_map,
     u_hom,

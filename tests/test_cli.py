@@ -163,8 +163,8 @@ def test_envelope_alpha_zero(capsys):
     assert doc["degrees"]["2"] == [6, 3]
 
 
-def _envelope_dims(capsys, *argv):
-    code, out, _ = run(capsys, "envelope", *argv, "--degree", "4", "--json")
+def _envelope_dims(capsys, *argv, degree=4):
+    code, out, _ = run(capsys, "envelope", *argv, "--degree", str(degree), "--json")
     assert code == 0
     return {int(k): dim for k, (dim, _) in json.loads(out)["degrees"].items()}
 
@@ -177,13 +177,17 @@ def test_pbw_dims_enumerate_commutative_monomials():
     assert pbw_dims(2, 5) == {1: 2, 2: 3, 3: 4, 4: 5, 5: 6}
 
 
-@pytest.mark.parametrize("twist", _ALPHAS, ids=["twisted", "stored"])
-@pytest.mark.parametrize("algebra", ["sl2", "abelian3"])
-def test_lie_envelope_has_pbw_dims(capsys, algebra, twist):
+@pytest.mark.parametrize("algebra, twist, degree", [
+    pytest.param(algebra, twist, 4, id=f"{algebra}-{mode}")
+    for algebra in ("sl2", "abelian3") for mode, twist in zip(("twisted", "stored"), _ALPHAS)
+] + [pytest.param("sl2", _ALPHAS[0], 5, id="sl2-twisted-degree5")])
+def test_lie_envelope_has_pbw_dims(capsys, algebra, twist, degree):
     """Observed, not a theorem applied: the Hom-Lie envelopes of the bundled
     Lie algebras, twisted by or paired with their invertible alpha, have
-    the graded dimensions of a polynomial algebra up to degree 4."""
-    assert _envelope_dims(capsys, "--algebra", algebra, *twist, "--class", "lie") == pbw_dims(3, 4)
+    the graded dimensions of a polynomial algebra up to degree 4, and
+    twisted sl2 up to degree 5."""
+    got = _envelope_dims(capsys, "--algebra", algebra, *twist, "--class", "lie", degree=degree)
+    assert got == pbw_dims(3, degree)
 
 
 @pytest.mark.xfail(

@@ -60,6 +60,16 @@ def test_additive_inverse_and_scale():
     assert p.scaled(rat(1, 2)).scaled(2) == p
 
 
+def test_scaled_keeps_integral_values_as_ints():
+    """An integral coefficient is an int, also after scaling by a fraction
+    and back: rows of such coefficients take RowSpace's int path."""
+    (c,) = V("x").scaled(rat(1, 6)).scaled(6).terms.values()
+    assert c == 1 and type(c) is int
+    p = (V("x").scaled(rat(1, 2)) + V("y").scaled(rat(1, 3))).scaled(-6)
+    assert p.terms == {Leaf("x"): -3, Leaf("y"): -2}
+    assert all(type(c) is int for c in p.terms.values())
+
+
 def test_multilinearity_three_args():
     a, b, c, d = (V(n) for n in "abcd")
     lhs = apply_op("tri", [a + b, c, d])

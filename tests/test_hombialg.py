@@ -2,6 +2,7 @@
 
 
 import itertools
+import math
 import re
 from collections import Counter
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     all_binary_monomials,
+    delta_by_partitions,
     enumerate_commutative_trees,
     enumerate_pairswap_trees,
+    pbw_dims,
     we_colored_counts,
 )
 
@@ -40,6 +43,7 @@ from homforge.fdalg import (
     MultilinearOp,
     builtin_algebra,
     hom_version,
+    identity_matrix,
     sabinin_from,
     zero_matrix,
 )
@@ -66,7 +70,6 @@ from homforge.hombialg import (
     counit,
     counit_mono,
     delta,
-    delta_by_partitions,
     delta_summand,
     expand_exponents,
     is_primitive,
@@ -527,7 +530,19 @@ def _direct_u_hom_relations(fam, alpha, degree_bound):
 
 
 def _term_sets(relations):
-    return {frozenset(r.terms.items()) for r in relations}
+    """Each relation in primitive form, coprime ints with a positive
+    coefficient on its mono_key-largest monomial: relations that differ by
+    a nonzero factor, as u_hom_relations' integer multiples do, compare
+    equal."""
+    out = set()
+    for r in relations:
+        d = math.lcm(*(c.denominator for c in r.terms.values()))
+        ints = {m: int(c * d) for m, c in r.terms.items()}
+        g = math.gcd(*ints.values())
+        if ints[max(ints, key=mono_key)] < 0:
+            g = -g
+        out.add(frozenset((m, c // g) for m, c in ints.items()))
+    return out
 
 
 @pytest.mark.parametrize("name, cls", [("sl2", "lie"), ("heis3", "yiii")])
@@ -539,6 +554,8 @@ def test_u_hom_relations_match_q_on_basis_letters(name, cls):
     fam = yiii_hom(spec, 2) if cls == "yiii" else sabinin_from(spec, cls, 2)
     rels = u_hom_relations(fam, 4)
     assert _term_sets(rels) == _term_sets(_direct_u_hom_relations(fam, spec.alpha, 4))
+    # integral tables and alpha: the q weights are cleared, no Fraction is left
+    assert all(type(c) is int for r in rels for c in r.terms.values())
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 2)])
@@ -758,6 +775,44 @@ def _assert_closure_matches_trees(spec, cls, d):
     monos = {n: U.monomials_of_degree(n) for n in range(1, d + 1)}
     ranks = Counter(degree(U._columns[piv]) for piv in space.rows)
     assert U.report() == {n: (len(ms) - ranks[n], ranks[n]) for n, ms in monos.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([("z", "a", "m"), ("y", "x"), ("e10", "e2", "e1")]).flatmap(st.permutations),
+    st.integers(1, 5),
+)
+def test_columns_are_numbered_in_mono_key_order(basis, d):
+    """The quotient enumerates its columns in mono_key order, which sorts
+    leaves by letter, not by basis index: the same list as sorting every
+    product tree, with the degrees in consecutive blocks."""
+    spec = AlgebraSpec(len(basis), basis, {}, zero_matrix(len(basis)))
+    U = FilteredQuotient(spec, [], d)
+    want = sorted(
+        itertools.chain(*(all_binary_monomials(basis, n) for n in range(1, d + 1))),
+        key=mono_key,
+    )
+    assert U._columns == want
+    assert U._position == {m: i for i, m in enumerate(want)}
+    assert U._degree == [degree(m) for m in want]
+    assert {n: list(U._by_degree[n]) for n in range(1, d + 1)} == {
+        n: [i for i, m in enumerate(want) if degree(m) == n] for n in range(1, d + 1)
+    }
+
+
+@pytest.mark.parametrize("basis", [("z", "a", "m"), ("y", "x")])
+def test_envelope_over_an_unsorted_basis(basis):
+    """A basis out of sorted order. On the zero product with alpha = id the
+    Lie envelope is a polynomial algebra, and a normal form takes the
+    mono_key-least order of the letters, which is their sorted order."""
+    dim = len(basis)
+    spec = AlgebraSpec(dim, basis, {"mu": MultilinearOp.zero("mu", 2, dim)}, identity_matrix(dim))
+    U = u_hom(sabinin_from(spec, "lie", 2), 4)
+    assert U.report() == {
+        n: (k, len(all_binary_monomials(basis, n)) - k) for n, k in pbw_dims(dim, 4).items()
+    }
+    for a, b in itertools.product(basis, repeat=2):
+        assert U.nf(mul(V(a), V(b))) == mul(V(min(a, b)), V(max(a, b)))
 
 
 @pytest.mark.parametrize("outside", ["A^1(x)", "1"])
