@@ -279,7 +279,9 @@ def cmd_antipode(args) -> int:
         f"antipode check for {res.word}: {res.status} "
         f"(degree <= {res.degree_bound}, exponents <= {res.exp_bound})"
     ]
-    if not res.ok:
+    if res.bounds_error:
+        human.append(f"  the defect is outside the bounds: {res.bounds_error}")
+    elif not res.ok:
         human.append(f"  residual normal form: {render_poly(res.normal_form)}")
     return _emit(args, "antipode", res.status, res.to_json(), human, t0)
 

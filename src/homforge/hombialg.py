@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
     MUL,
@@ -36,7 +36,6 @@ from .expr import (
     expand,
     leaves,
     lincomb,
-    map_leaves,
     mono_key,
     mul,
     mul_mono,
@@ -223,21 +222,22 @@ def antipode_defect(m: Monomial) -> Poly:
 # small space of tree shapes that can be row-reduced exactly.
 
 
-def _leaf_depths(m: Monomial, depth: int = 0) -> List[Tuple[Leaf, int]]:
-    if m is UNIT:
-        return []
+def _shape_leaves(m: Monomial, lvs: List[Tuple[Leaf, int]], depth: int = 0):
+    """The shape of m; appends m's (leaf, depth) pairs to lvs in preorder."""
     if isinstance(m, Leaf):
-        return [(m, depth)]
+        lvs.append((m, depth))
+        return None
     if m.op != MUL:
         raise SignatureError(f"the quotient has only the product {MUL!r}, not {m.op!r}")
-    out: List[Tuple[Leaf, int]] = []
-    for a in m.args:
-        out.extend(_leaf_depths(a, depth + 1))
-    return out
+    if len(m.args) != 2:
+        raise SignatureError("the quotient has binary products only")
+    return (_shape_leaves(m.args[0], lvs, depth + 1), _shape_leaves(m.args[1], lvs, depth + 1))
 
 
 def phi_signature(m: Monomial) -> Tuple[Tuple[str, int], ...]:
-    return tuple(sorted((l.base, l.exp + d) for l, d in _leaf_depths(m)))
+    lvs: List[Tuple[Leaf, int]] = []
+    _shape_leaves(m, lvs)
+    return tuple(sorted((l.base, l.exp + d) for l, d in lvs))
 
 
 def _tree_shapes(n: int, _cache={}) -> List:
@@ -267,6 +267,34 @@ def _shape_depths(shape, depth=0) -> List[int]:
     return _shape_depths(shape[0], depth + 1) + _shape_depths(shape[1], depth + 1)
 
 
+def _rotations(shape) -> List:
+    """The shapes one rotation X(YZ) -> (XY)Z reaches, one per node whose
+    right child is a node, nodes in preorder."""
+    if shape is None:
+        return []
+    a, b = shape
+    out = [] if b is None else [((a, b[0]), b[1])]
+    return out + [(s, b) for s in _rotations(a)] + [(a, s) for s in _rotations(b)]
+
+
+class _ShapeTable(NamedTuple):
+    shapes: List  # in _shape_key order
+    index: Dict[object, int]
+    depths: List[List[int]]
+    rotations: List[List[int]]  # shape indices, in _rotations order
+
+
+def _shape_table(n: int, _cache={}) -> _ShapeTable:
+    """The shapes with n leaves, in the order mono_key gives their trees,
+    with their leaf depths and rotations."""
+    if n not in _cache:
+        shapes = sorted(_tree_shapes(n), key=_shape_key)
+        index = {s: i for i, s in enumerate(shapes)}
+        _cache[n] = _ShapeTable(shapes, index, [_shape_depths(s) for s in shapes],
+                                [[index[t] for t in _rotations(s)] for s in shapes])
+    return _cache[n]
+
+
 def _build_from_shape(shape, leaves_iter) -> Monomial:
     if shape is None:
         return next(leaves_iter)
@@ -286,81 +314,123 @@ def _monomials(generators: Sequence[str], n: int, exp_bound: int) -> List[Monomi
     return out
 
 
+PhiWord = Tuple[Tuple[str, int], ...]
+
+
 class _PhiComponent:
-    """One (generator, exp + depth) multiset component of the quotient."""
+    """One (generator, exp + depth) multiset component of the quotient.
+
+    A column is a tree in bounds, given as a shape of the shape table and a
+    phi word, its leaves' (base, exp + depth) pairs in preorder: a leaf's
+    exponent is its phi less its depth. The columns are listed shape by
+    shape, then by word in sorted order, which is mono_key order, since
+    within a shape the depths are fixed; the pivots follow it.
+
+    A rewrite alpha(A)(BC) -> (AB)alpha(C) keeps the word and rotates the
+    shape: A's exponents fall by one, C's rise by one. So each column's
+    rows join it to its rotations with the same word that are columns too,
+    in preorder of the rotated node. The reverse direction is not needed: a
+    relation inside the component joins a member of the form alpha(A)(BC)
+    to one of the form (AB)alpha(C), so rotating the first finds it.
+    """
 
     def __init__(self, signature: Tuple[Tuple[str, int], ...], exp_bound: int):
         self.signature = signature
         self.exp_bound = exp_bound
         self.truncated = False
-        self.monomials: List[Monomial] = []
-        n = len(signature)
-        # distinct (shape, permutation) pairs give distinct trees
-        for shape in _tree_shapes(n):
-            depths = _shape_depths(shape)
-            for perm in set(itertools.permutations(signature)):
-                lvs = []
-                for (base, phi), d in zip(perm, depths):
-                    e = phi - d
-                    if e < 0:
-                        break  # no tree: a later leaf cannot make this one
-                    lvs.append(Leaf(base, e))
-                else:
-                    # a whole tree; only one above the bound truncates
-                    if any(l.exp > exp_bound for l in lvs):
-                        self.truncated = True
-                    else:
-                        self.monomials.append(_build_from_shape(shape, iter(lvs)))
-        # the columns are positions in mono_key order, which the pivots follow
-        self.monomials.sort(key=mono_key)
-        self._position = position = {m: i for i, m in enumerate(self.monomials)}
+        self._table = table = _shape_table(len(signature))
+        shape_count = len(table.shapes)
+        # the signature's distinct pairs in sorted order, and their counts
+        self._pairs, self._left = map(list, zip(*sorted(Counter(signature).items())))
+        self._words: Dict[PhiWord, int] = {}  # word -> its number
+        # column -> key, word number * shape count + shape index; and back,
+        # None at a key that is no column
+        self._keys: List[int] = []
+        self._position: List[Optional[int]] = []
+        for s, depths in enumerate(table.depths):
+            for word in self._words_on(depths):
+                w = self._words.get(word)
+                if w is None:
+                    w = self._words[word] = len(self._words)
+                    self._position += [None] * shape_count
+                key = w * shape_count + s
+                self._position[key] = len(self._keys)
+                self._keys.append(key)
+        self._word_list = list(self._words)
         self.space = RowSpace()
-        # A rewrite keeps the phi signature and non-negative exponents, so a
-        # target that is not a member is a tree the enumeration met with no
-        # negative exponent and one above the bound: truncated is already set.
-        for i, m in enumerate(self.monomials):
-            for m2 in self._rewrites(m):
-                if m2 in position:
-                    self.space.add({i: ONE, position[m2]: -ONE})
+        for i, key in enumerate(self._keys):
+            s = key % shape_count
+            for t in table.rotations[s]:
+                j = self._position[key - s + t]
+                if j is not None:
+                    self.space.add({i: ONE, j: -ONE})
 
-    def _rewrites(self, m: Monomial) -> List[Monomial]:
-        """Every alpha(A)(BC) -> (AB)alpha(C) rewrite of one subtree of m.
+    def _words_on(self, depths: List[int]) -> List[PhiWord]:
+        """The words that put every exponent of a shape with these leaf
+        depths inside the bound, in sorted order. A word with a negative
+        exponent is no tree; one with none negative but one above the bound
+        is a tree outside the quotient, and sets truncated."""
+        n, bound, pairs, left = len(depths), self.exp_bound, self._pairs, self._left
+        word: List[Tuple[str, int]] = [None] * n
+        out: List[PhiWord] = []
 
-        The reverse direction is not needed: a relation inside the component
-        joins a member of the form alpha(A)(BC) to one of the form
-        (AB)alpha(C), so rewriting the first finds it."""
-        out: List[Monomial] = []
-
-        def walk(t: Monomial, rebuild):
-            if not isinstance(t, Node):
+        def place(i: int, above: bool) -> None:
+            if i == n:
+                if above:
+                    self.truncated = True
+                else:
+                    out.append(tuple(word))
                 return
-            a, b = t.args
-            if isinstance(b, Node) and all(l.exp for l in leaves(a)):
-                dec_a = map_leaves(a, lambda l: Leaf(l.base, l.exp - 1))
-                out.append(
-                    rebuild(
-                        Node(
-                            t.op,
-                            (
-                                Node(t.op, (dec_a, b.args[0])),
-                                alpha_mono(b.args[1], 1),
-                            ),
-                        )
-                    )
-                )
-            walk(a, lambda s: rebuild(Node(t.op, (s, b))))
-            walk(b, lambda s: rebuild(Node(t.op, (a, s))))
+            d = depths[i]
+            for k, pair in enumerate(pairs):
+                if left[k] and pair[1] >= d:
+                    here = pair[1] - d > bound
+                    if here and self.truncated:
+                        continue  # truncated is set: such trees are never columns
+                    left[k] -= 1
+                    word[i] = pair
+                    place(i + 1, above or here)
+                    left[k] += 1
 
-        walk(m, lambda s: s)
+        place(0, False)
         return out
+
+    def _tree(self, column: int) -> Monomial:
+        w, s = divmod(self._keys[column], len(self._table.shapes))
+        word = self._word_list[w]
+        lvs = (Leaf(base, phi - d) for (base, phi), d in zip(word, self._table.depths[s]))
+        return _build_from_shape(self._table.shapes[s], lvs)
+
+    @property
+    def monomials(self) -> "_Trees":
+        """The columns as trees, in column order."""
+        return _Trees(self)
 
     @property
     def rank(self) -> int:
         return self.space.rank
 
-    def reduce(self, terms: Dict[Monomial, object]) -> Dict[Monomial, object]:
-        res = self.space.reduce({self._position[m]: c for m, c in terms.items()})
-        return {self.monomials[i]: c for i, c in res.items()}
+    def reduce(self, terms: Dict[Tuple[object, PhiWord], object]) -> Dict[Monomial, object]:
+        """Reduce terms keyed by (shape, phi word) of columns; the residual
+        is keyed by tree."""
+        index, shape_count = self._table.index, len(self._table.shapes)
+        row = {self._position[self._words[word] * shape_count + index[shape]]: c
+               for (shape, word), c in terms.items()}
+        return {self._tree(i): c for i, c in self.space.reduce(row).items()}
+
+
+class _Trees(Sequence):
+    """A component's columns as trees, each built when it is read: counting
+    them builds none."""
+
+    def __init__(self, comp: _PhiComponent):
+        self._comp = comp
+
+    def __len__(self) -> int:
+        return len(self._comp._keys)
+
+    def __getitem__(self, column: int) -> Monomial:
+        return self._comp._tree(column)
 
 
 @dataclass
@@ -401,10 +471,10 @@ class FreeHomAssocQuotient:
             self._components[signature] = comp
         return comp
 
-    def _check_in_bounds(self, m: Monomial) -> None:
-        if m is UNIT:
-            raise BoundsError("the quotient models the unit-free part")
-        lvs = _leaf_depths(m)
+    def _shape_word(self, m: Monomial) -> Tuple[object, PhiWord]:
+        """The shape and phi word of a unit-free m inside the bounds."""
+        lvs: List[Tuple[Leaf, int]] = []
+        shape = _shape_leaves(m, lvs)
         if len(lvs) > self.degree_bound:
             raise BoundsError(f"monomial degree {len(lvs)} exceeds bound {self.degree_bound}")
         for l, _ in lvs:
@@ -412,13 +482,14 @@ class FreeHomAssocQuotient:
                 raise BoundsError(f"unknown generator {l.base!r}")
             if l.exp > self.exp_bound:
                 raise BoundsError(f"exponent {l.exp} exceeds bound {self.exp_bound}")
+        return shape, tuple((l.base, l.exp + d) for l, d in lvs)
 
     def reduce(self, p: Poly) -> Reduction:
-        groups: Dict[Tuple[Tuple[str, int], ...], Dict[Monomial, object]] = {}
+        groups: Dict[Tuple[Tuple[str, int], ...], Dict[Tuple[object, PhiWord], object]] = {}
         for m, c in p.terms.items():
             if m is not UNIT:
-                self._check_in_bounds(m)
-                groups.setdefault(phi_signature(m), {})[m] = c
+                shape, word = self._shape_word(m)
+                groups.setdefault(tuple(sorted(word)), {})[shape, word] = c
         out = [(UNIT, p.coeff(UNIT))]
         truncated = False
         for sig, terms in groups.items():
@@ -441,6 +512,9 @@ class AntipodeResult:
     degree_bound: int
     exp_bound: int
     normal_form: Poly
+    # the BoundsError message when the defect itself is outside the bounds;
+    # normal_form is then the unreduced defect
+    bounds_error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -473,10 +547,11 @@ def check_antipode(
         gens = sorted({l.base for l in leaves(m)}) or ["x"]
         quotient = FreeHomAssocQuotient(gens, degree_bound, exp_bound)
     defect = antipode_defect(m)
+    bounds_error = None
     try:
         red = quotient.reduce(defect)
-    except BoundsError:
-        red = Reduction(defect, truncated=True)
+    except BoundsError as e:
+        red, bounds_error = Reduction(defect, truncated=True), str(e)
     status = {"zero": "pass", "nonzero": "fail", "inconclusive": "inconclusive"}[red.status]
     return AntipodeResult(
         render_mono(m, top=True),
@@ -484,6 +559,7 @@ def check_antipode(
         quotient.degree_bound,
         quotient.exp_bound,
         red.normal_form,
+        bounds_error,
     )
 
 

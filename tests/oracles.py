@@ -210,3 +210,49 @@ def sampled_power_check(spec, max_power=6, samples=100, seed=2024):
     else:
         report.notes.append("low-degree conditions fail; no implication expected")
     return report
+
+
+def tree_component(signature, exp_bound):
+    """A quotient component built on trees: (monomials, row space,
+    truncated). Every (shape, permutation) pair with no negative exponent
+    is a tree; one above the bound truncates, the others are the members,
+    sorted by mono_key into columns. Each member gets one row per one-way
+    rewrite alpha(A)(BC) -> (AB)alpha(C) of a subtree whose target is a
+    member, members in column order, subtrees in preorder."""
+    from homforge.expr import Leaf, Node, alpha_mono, leaves, map_leaves, mono_key
+    from homforge.hombialg import _build_from_shape, _shape_depths, _tree_shapes
+    from homforge.linalg import RowSpace
+
+    monomials, truncated = [], False
+    for shape in _tree_shapes(len(signature)):
+        depths = _shape_depths(shape)
+        for perm in set(itertools.permutations(signature)):
+            exps = [phi - d for (_, phi), d in zip(perm, depths)]
+            if min(exps) < 0:
+                continue
+            if max(exps) > exp_bound:
+                truncated = True
+            else:
+                lvs = (Leaf(base, e) for (base, _), e in zip(perm, exps))
+                monomials.append(_build_from_shape(shape, lvs))
+    monomials.sort(key=mono_key)
+    position = {m: i for i, m in enumerate(monomials)}
+
+    def rewrites(t):
+        if not isinstance(t, Node):
+            return []
+        a, b = t.args
+        out = []
+        if isinstance(b, Node) and all(l.exp for l in leaves(a)):
+            dec_a = map_leaves(a, lambda l: Leaf(l.base, l.exp - 1))
+            out.append(Node(t.op, (Node(t.op, (dec_a, b.args[0])), alpha_mono(b.args[1], 1))))
+        out += [Node(t.op, (s, b)) for s in rewrites(a)]
+        out += [Node(t.op, (a, s)) for s in rewrites(b)]
+        return out
+
+    space = RowSpace()
+    for i, m in enumerate(monomials):
+        for m2 in rewrites(m):
+            if m2 in position:
+                space.add({i: 1, position[m2]: -1})
+    return monomials, space, truncated

@@ -217,6 +217,23 @@ def test_antipode_cli(capsys):
     assert code == 3  # inconclusive within bounds
 
 
+def test_antipode_names_the_bound_the_defect_exceeds(capsys):
+    """A defect outside the bounds is reported as such, not as a residual
+    normal form; the JSON report is the same as before."""
+    for bounds, why in (
+        (["--degree", "1"], "monomial degree 3 exceeds bound 1"),
+        (["--exp-bound", "0"], "exponent 3 exceeds bound 0"),
+    ):
+        code, out, _ = run(capsys, "antipode", "--word", "(a*b)*c", *bounds)
+        assert code == 3
+        assert f"  the defect is outside the bounds: {why}\n" in out
+        assert "residual" not in out
+        code, out, _ = run(capsys, "antipode", "--word", "(a*b)*c", *bounds, "--json")
+        assert set(json.loads(out)) == {"command", "status", "word", "bounds", "normal_form"}
+    code, out, _ = run(capsys, "antipode", "--word", "(a*b)*c", "--exp-bound", "3")
+    assert code == 0 and "outside" not in out
+
+
 def test_sabinin_cli(capsys):
     code, out, _ = run(
         capsys, "sabinin", "--algebra", "heis3", "--twist", "bundled",

@@ -15,6 +15,7 @@ from oracles import (
     enumerate_commutative_trees,
     enumerate_pairswap_trees,
     pbw_dims,
+    tree_component,
     we_colored_counts,
 )
 
@@ -304,6 +305,23 @@ def test_component_matches_two_way_rewrites():
             assert all(not comp.space.reduce(row) for row in space.rows.values()), sig
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 6)), min_size=1, max_size=6),
+    st.integers(0, 6),
+)
+def test_component_matches_tree_enumeration(pairs, exp_bound):
+    """Columns from the shape tables and rows from shape rotations give the
+    trees in the same order, the same truncated flag and the same stored
+    rows, stored in the same order, as enumerating trees, sorting them by
+    mono_key and rewriting subtrees."""
+    sig = tuple(sorted(pairs))
+    comp = _PhiComponent(sig, exp_bound)
+    monomials, space, truncated = tree_component(sig, exp_bound)
+    assert (list(comp.monomials), comp.truncated) == (monomials, truncated)
+    assert list(comp.space.rows.items()) == list(space.rows.items())
+
+
 def _rewrite_classes(comp):
     """Classes of the component's monomials under Hom-associativity
     rewrites, by union-find over the edges that stay inside the component."""
@@ -365,6 +383,11 @@ def test_antipode_degree_six_repeated_word():
     assert check_antipode(mono("((a*b)*(a*b))*(a*b)")).status == "pass"
 
 
+def test_antipode_degree_six_distinct_letters():
+    """One component of 23,328 monomials, with the default bounds."""
+    assert check_antipode(mono("((a*b)*(c*d))*(e*f)")).status == "pass"
+
+
 def test_antipode_inconclusive_on_tight_bounds():
     res = check_antipode(mono("((x*y)*z)"), degree_bound=3, exp_bound=1)
     assert res.status in ("inconclusive", "pass")
@@ -411,6 +434,8 @@ def test_quotient_bounds_errors():
     # left standing as a nonzero normal form
     with pytest.raises(SignatureError, match="only the product 'mu', not 'br'"):
         FreeHomAssocQuotient(("a", "b"), 2, 2).nf(parse_poly("br(a,b)"))
+    with pytest.raises(SignatureError, match="binary products only"):
+        FreeHomAssocQuotient(("a", "b", "c"), 3, 2).nf(parse_poly("mu(a,b,c)"))
     with pytest.raises(SignatureError):
         check_antipode(mono("br(a,b)"))
 

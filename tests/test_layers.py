@@ -7,10 +7,15 @@ from pathlib import Path
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
 
-def test_traced_layers_resolve():
+def _layertrace():
     spec = importlib.util.spec_from_file_location("_layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_traced_layers_resolve():
+    layertrace = _layertrace()
     assert layertrace.LAYERS
     for module, qualname, _ in layertrace.LAYERS:
         obj = importlib.import_module(f"homforge.{module}")
@@ -18,3 +23,24 @@ def test_traced_layers_resolve():
             assert hasattr(obj, part), f"{module}.{qualname} is gone"
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{qualname}"
+
+
+def test_component_hooks_read_what_a_component_has():
+    """The component layer's hooks read the quotient's component cache and a
+    built component's monomials (their number), rank and truncated flag."""
+    from homforge.hombialg import FreeHomAssocQuotient
+
+    layertrace = _layertrace()
+    before, after = layertrace.HOOKS["hombialg.FreeHomAssocQuotient.component"]
+    q = FreeHomAssocQuotient(("a", "b", "c"), 3, 1)
+    sig = (("a", 2), ("b", 2), ("c", 3))
+    layer = layertrace.Layer()
+    for hit in (False, True):
+        token = before((q, sig))
+        assert token is hit
+        comp = q.component(sig)
+        after(layer, token, (q, sig), comp)
+    # eight trees with c at depth 2, joined in two pairs such as
+    # A^1(a)*(A^1(c)*b) = (a*A^1(c))*A^1(b); c at depth 1 is above the bound
+    assert (len(comp.monomials), comp.rank, comp.truncated) == (8, 2, True)
+    assert layer.counts == {"built": 1, "monomials": 8, "rank": 2, "truncated": 1, "hits": 1}
