@@ -9,6 +9,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -355,15 +356,22 @@ def unshuffle(w: Word) -> Dict[Tuple[Word, Word], object]:
     return collect((pair, 1) for pair in unshuffle_pairs(w))
 
 
+@functools.lru_cache(maxsize=None)
+def _unshuffle_positions(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """The (left, right) positions of each subset of range(n), in subset-mask order."""
+    return tuple(
+        (tuple(i for i in range(n) if mask >> i & 1),
+         tuple(i for i in range(n) if not mask >> i & 1))
+        for mask in range(1 << n)
+    )
+
+
 def unshuffle_pairs(w: Word) -> List[Tuple[Word, Word]]:
     """The splittings of w, one per subset, in subset-mask order."""
-    n = len(w)
-    out = []
-    for mask in range(1 << n):
-        left = tuple(w[i] for i in range(n) if mask >> i & 1)
-        right = tuple(w[i] for i in range(n) if not mask >> i & 1)
-        out.append((left, right))
-    return out
+    return [
+        (tuple([w[i] for i in left]), tuple([w[i] for i in right]))
+        for left, right in _unshuffle_positions(len(w))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .expr import (
     BINARY,
@@ -162,24 +162,36 @@ class MultilinearOp:
     def eval(self, args: Sequence[Vector]) -> Vector:
         """The value on args. The trie is walked one argument at a time,
         carrying each index prefix that has entries with the product of its
-        coordinates; the outputs are summed as expr.collect sums them."""
+        coordinates; the outputs are summed as expr.collect sums them. A
+        binary table is walked in one nested loop, with no prefix list."""
         if len(args) != self.arity:
             raise FdalgError(f"{self.name!r} has arity {self.arity}, got {len(args)}")
         trie = self._trie
-        prefixes = [(trie[i], x) for i, x in args[0].items() if i in trie]
-        for a in args[1:-1]:
-            prefixes = [
-                (node[i], c * x) for node, c in prefixes for i, x in a.items() if i in node
-            ]
         out: Vector = {}
         last = args[-1].items()
-        for node, c in prefixes:
-            for i, x in last:
-                ent = node.get(i)
-                if ent is not None:
-                    cx = c * x
-                    for k, y in ent.items():
-                        out[k] = out[k] + cx * y if k in out else cx * y
+        if self.arity == 2:
+            for i, x in args[0].items():
+                node = trie.get(i)
+                if node is not None:
+                    for j, y in last:
+                        ent = node.get(j)
+                        if ent is not None:
+                            xy = x * y
+                            for k, z in ent.items():
+                                out[k] = out[k] + xy * z if k in out else xy * z
+        else:
+            prefixes = [(trie[i], x) for i, x in args[0].items() if i in trie]
+            for a in args[1:-1]:
+                prefixes = [
+                    (node[i], c * x) for node, c in prefixes for i, x in a.items() if i in node
+                ]
+            for node, c in prefixes:
+                for i, x in last:
+                    ent = node.get(i)
+                    if ent is not None:
+                        cx = c * x
+                        for k, y in ent.items():
+                            out[k] = out[k] + cx * y if k in out else cx * y
         if 0 in out.values():  # a coordinate cancelled
             return {k: c for k, c in out.items() if c != 0}
         return out
@@ -367,46 +379,43 @@ def builtin_algebra(name: str) -> AlgebraSpec:
 def _walk(
     spec: AlgebraSpec, poly: Poly, variables: Sequence[str],
     candidate_sets: Sequence[Sequence[Tuple[str, Vector]]], lo: int, hi: int,
-) -> Iterable[Tuple[int, Tuple[int, ...], Vector]]:
+) -> Optional[Iterator[Tuple[int, Tuple[int, ...], Vector]]]:
     """(index, positions, value of poly) for the tuples lo..hi-1 of
     itertools.product(*candidate_sets), in that order, variable p taking
-    the vector of candidate_sets[p][positions[p]].
+    the vector of candidate_sets[p][positions[p]]. None, with no tuple
+    visited, when every monomial passes through an operation with no
+    entries: poly is then zero on every tuple.
 
-    The distinct subtrees of poly's monomials are compiled once into slots.
-    The level of a slot is the last variable position it depends on, and
-    after the step that changes position j only the slots of level >= j are
-    recomputed: loop-invariant subtrees are hoisted out of the inner
-    positions. Slots on no variable (the unit, nodes over units) are
-    evaluated once, and each leaf alpha^k(x) once per candidate of x.
+    The distinct subtrees of poly's monomials are compiled once into slots,
+    when this is called. A subtree whose operation has no entries, or that
+    has such a subtree below it, is zero: it gets no slot, and the monomials
+    it roots are dropped. The level of a slot is the last variable position
+    it depends on, and after the step that changes position j only the slots
+    of level >= j are recomputed: loop-invariant subtrees are hoisted out of
+    the inner positions. Slots on no variable (the unit, nodes over units)
+    are evaluated once, each leaf alpha^k(x) once per candidate of x, and a
+    slot that only dropped monomials read is never evaluated.
     """
     from operator import itemgetter
 
     if lo >= hi:
-        return
+        return iter(())
     position = {v: p for p, v in enumerate(variables)}
     n = len(variables)
-    values: List[Vector] = []
-    leaf_steps: List[list] = [[] for _ in range(n)]  # (slot, value per candidate)
-    node_steps: List[list] = [[] for _ in range(n)]  # (slot, op.eval, child values)
-    slots: Dict[Monomial, Tuple[int, int]] = {}  # subtree -> (slot, level)
+    compiled: List[tuple] = []  # per slot: (level, UNIT or leaf or op, child slots)
+    slots: Dict[Monomial, Optional[int]] = {}  # subtree -> slot, None if zero
 
-    def slot(m: Monomial) -> Tuple[int, int]:
+    def slot(m: Monomial) -> Optional[int]:
         if m in slots:
             return slots[m]
-        s = len(values)
         if m is UNIT:
             if spec.unit is None:
                 raise FdalgError("monomial uses the unit but the algebra has none")
-            values.append(spec.unit)
-            level = -1
+            step = (-1, m, ())
         elif isinstance(m, Leaf):
             if m.base not in position:
                 raise FdalgError(f"unbound variable {m.base!r}")
-            level = position[m.base]
-            values.append({})
-            leaf_steps[level].append(
-                (s, [spec.apply_alpha_vec(v, m.exp) for _, v in candidate_sets[level]])
-            )
+            step = (position[m.base], m, ())
         else:
             try:
                 op = spec.ops[m.op]
@@ -415,38 +424,65 @@ def _walk(
             if len(m.args) != op.arity:
                 raise FdalgError(f"{op.name!r} has arity {op.arity}, got {len(m.args)}")
             kids = [slot(a) for a in m.args]
-            level = max(l for _, l in kids)
-            s = len(values)  # the children took slots first
-            if level < 0:
-                values.append(op.eval([values[k] for k, _ in kids]))
-            else:
-                values.append({})
-                node_steps[level].append((s, op.eval, itemgetter(*(k for k, _ in kids))))
-        slots[m] = (s, level)
-        return s, level
+            if op.is_zero() or None in kids:
+                slots[m] = None
+                return None
+            step = (max(compiled[k][0] for k in kids), op, kids)
+        slots[m] = len(compiled)  # the children took slots first
+        compiled.append(step)
+        return slots[m]
 
-    top = [(slot(m)[0], c) for m, c in poly.terms.items()]
-    sizes = [len(cs) for cs in candidate_sets]
-    digits = [0] * n
-    rest = lo
-    for p in reversed(range(n)):
-        rest, digits[p] = divmod(rest, sizes[p])
-    changed = 0
-    for index in range(lo, hi):
-        for level in range(changed, n):
-            d = digits[level]
-            for s, table in leaf_steps[level]:
-                values[s] = table[d]
-            for s, ev, args in node_steps[level]:
-                values[s] = ev(args(values))
-        yield index, tuple(digits), lincomb((c, values[s]) for s, c in top)
-        changed = n - 1  # the odometer step, carrying leftwards
-        while changed >= 0:
-            digits[changed] += 1
-            if digits[changed] < sizes[changed]:
-                break
-            digits[changed] = 0
-            changed -= 1
+    top = [(s, c) for m, c in poly.terms.items() if (s := slot(m)) is not None]
+    if not top:
+        return None
+    read = [False] * len(compiled)  # does a kept monomial read the slot?
+    for s, _ in top:
+        read[s] = True
+    for s in reversed(range(len(compiled))):  # children have lower slots
+        if read[s]:
+            for k in compiled[s][2]:
+                read[k] = True
+    values: List[Vector] = [{}] * len(compiled)
+    leaf_steps: List[list] = [[] for _ in range(n)]  # (slot, value per candidate)
+    node_steps: List[list] = [[] for _ in range(n)]  # (slot, op.eval, child values)
+    for s, (level, what, kids) in enumerate(compiled):
+        if not read[s]:
+            continue
+        if kids and level < 0:
+            values[s] = what.eval([values[k] for k in kids])
+        elif kids:
+            node_steps[level].append((s, what.eval, itemgetter(*kids)))
+        elif what is UNIT:
+            values[s] = spec.unit
+        else:
+            leaf_steps[level].append(
+                (s, [spec.apply_alpha_vec(v, what.exp) for _, v in candidate_sets[level]])
+            )
+
+    def tuples() -> Iterator[Tuple[int, Tuple[int, ...], Vector]]:
+        sizes = [len(cs) for cs in candidate_sets]
+        digits = [0] * n
+        rest = lo
+        for p in reversed(range(n)):
+            rest, digits[p] = divmod(rest, sizes[p])
+        changed = 0
+        for index in range(lo, hi):
+            for level in range(changed, n):
+                d = digits[level]
+                for s, table in leaf_steps[level]:
+                    values[s] = table[d]
+                for s, ev, args in node_steps[level]:
+                    values[s] = ev(args(values))
+            yield index, tuple(digits), lincomb((c, values[s]) for s, c in top)
+            changed = n - 1  # the odometer step, carrying leftwards
+            while changed >= 0:
+                digits[changed] += 1
+                if digits[changed] < sizes[changed]:
+                    break
+                digits[changed] = 0
+                changed -= 1
+
+    return tuples()
 
 
 def eval_poly(spec: AlgebraSpec, p: Poly, assignment: Dict[str, Vector]) -> Vector:
@@ -455,8 +491,8 @@ def eval_poly(spec: AlgebraSpec, p: Poly, assignment: Dict[str, Vector]) -> Vect
         if any(not 0 <= i < spec.dim for i in v):
             raise FdalgError(f"variable {name!r} has an index outside 0..{spec.dim - 1}")
     points = [[(name, v)] for name, v in assignment.items()]
-    ((_, _, value),) = _walk(spec, p, list(assignment), points, 0, 1)
-    return value
+    walk = _walk(spec, p, list(assignment), points, 0, 1)
+    return {} if walk is None else next(walk)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +589,27 @@ def polarization_vectors(dim: int, basis: Sequence[str], mult: int) -> List[Tupl
 
 
 def _failures(
-    spec: AlgebraSpec, ident: Poly, variables: Sequence[str],
-    candidate_sets: Sequence[Sequence], lo: int, hi: int, limit: int,
+    spec: AlgebraSpec, variables: Sequence[str], candidate_sets: Sequence[Sequence],
+    walk: Iterable[Tuple[int, Tuple[int, ...], Vector]], limit: int,
 ) -> List[Tuple[int, Dict[str, str], Tuple[object, ...]]]:
-    """(tuple index, labels, dense defect) of the first `limit` failing tuples in [lo, hi)."""
+    """(tuple index, labels, dense defect) of the first `limit` failing tuples of walk."""
     out = []
-    for index, positions, defect in _walk(spec, ident, variables, candidate_sets, lo, hi):
+    for index, positions, defect in walk:
         if defect:
             labels = {v: cs[p][0] for v, cs, p in zip(variables, candidate_sets, positions)}
             out.append((index, labels, dense(defect, spec.dim)))
             if len(out) >= limit:
                 break
     return out
+
+
+def _chunk_failures(
+    spec: AlgebraSpec, ident: Poly, variables: Sequence[str],
+    candidate_sets: Sequence[Sequence], limit: int, lo: int, hi: int,
+) -> List[Tuple[int, Dict[str, str], Tuple[object, ...]]]:
+    """_failures on the tuples lo..hi-1 of ident, compiled in a worker process."""
+    walk = _walk(spec, ident, variables, candidate_sets, lo, hi)
+    return _failures(spec, variables, candidate_sets, walk or (), limit)
 
 
 MAX_WITNESSES = 5
@@ -578,7 +623,9 @@ def check_identity(spec: AlgebraSpec, system: IdentitySystem, jobs: int = 1) -> 
     stops at the tuple that brings MAX_WITNESSES witnesses; `checked` counts
     the tuples up to there. With jobs > 1 the tuple space is split into
     contiguous chunks evaluated in worker processes and merged in order, so
-    the report does not depend on jobs.
+    the report does not depend on jobs. An identity whose every monomial
+    passes through an operation with no entries is zero: its tuples are
+    counted, not visited.
     """
     report = CheckReport(name=system.name, status="pass")
     for pos, ident in enumerate(system.identities):
@@ -595,18 +642,18 @@ def check_identity(spec: AlgebraSpec, system: IdentitySystem, jobs: int = 1) -> 
         for cs in candidate_sets:
             total *= len(cs)
         room = MAX_WITNESSES - len(report.witnesses)
-        if jobs > 1 and total >= 4 * jobs:
+        walk = _walk(spec, ident, variables, candidate_sets, 0, total)
+        if walk is not None and jobs > 1 and total >= 4 * jobs:
             from concurrent.futures import ProcessPoolExecutor
 
             step = -(-total // jobs)
             los = range(0, total, step)
             his = [min(lo + step, total) for lo in los]
-            chunk = functools.partial(_failures, spec, ident, variables, candidate_sets)
+            chunk = functools.partial(_chunk_failures, spec, ident, variables, candidate_sets, room)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = pool.map(chunk, los, his, itertools.repeat(room))
-                found = [f for part in parts for f in part]
-        else:
-            found = _failures(spec, ident, variables, candidate_sets, 0, total, room)
+                found = [f for part in pool.map(chunk, los, his) for f in part]
+        else:  # walk is None when no monomial is left: nothing fails
+            found = _failures(spec, variables, candidate_sets, walk or (), room)
         label = f"{system.name}[{pos}]"
         report.witnesses += [(label, labels, defect) for _, labels, defect in found[:room]]
         if found:
@@ -681,7 +728,7 @@ def tabulate_poly(
     """The multilinear operation (variables) -> template, evaluated on spec."""
     basis = [(b, spec.basis_vector(i)) for i, b in enumerate(spec.basis)]
     arity = len(variables)
-    walk = _walk(spec, template, variables, [basis] * arity, 0, spec.dim ** arity)
+    walk = _walk(spec, template, variables, [basis] * arity, 0, spec.dim ** arity) or ()
     return MultilinearOp(name, arity, spec.dim, {idx: value for _, idx, value in walk})
 
 

@@ -243,6 +243,39 @@ def test_sabinin_cli(capsys):
     assert "Hsab3" in out
 
 
+# Twisted sl2 at cutoff 3 gives the same report for the printed lie and
+# malcev constructions: its Hom-Jacobiator vanishes, so both <c; a, b> are 0.
+_SL2_SABININ_SHA256 = "3d1ea75c6311a24ef46c8e0e6364a904d7f19b0d784c9ea708fdf1df4e722447"
+_SL2_SABININ_CHECKED = (
+    [9, 81, 27, 27, 243, 243, 81, 27] + [81] * 5 + [243] * 23 + [81, 243] + [81] * 3 + [243] * 11
+)
+
+
+@pytest.mark.parametrize("cls, evals", [("lie", 29439), ("malcev", 30708)])
+def test_printed_sabinin_reports_skip_zero_tables(capsys, monkeypatch, cls, evals):
+    """sabinin --class lie|malcev --cutoff 3 on twisted sl2, where every Phi
+    table and the brackets of |x| >= 1 are zero: the JSON report is pinned
+    byte for byte with each axiom's tuple count, and no operation with no
+    entries is evaluated. `evals` is the number of MultilinearOp.eval calls
+    the run makes when it evaluates the zero tables too; it must fall."""
+    import hashlib
+
+    from homforge.fdalg import MultilinearOp
+
+    calls = []
+    original = MultilinearOp.eval
+    monkeypatch.setattr(
+        MultilinearOp, "eval", lambda self, args: calls.append(self) or original(self, args)
+    )
+    code, out, _ = run(capsys, "sabinin", "--algebra", "sl2", "--twist", "bundled",
+                       "--class", cls, "--cutoff", "3", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SL2_SABININ_SHA256
+    assert [a["checked"] for a in json.loads(out)["axioms"]] == _SL2_SABININ_CHECKED
+    assert 0 < len(calls) < evals
+    assert not any(op.is_zero() for op in calls)
+
+
 def test_powerassoc_cli(capsys):
     argv = ["powerassoc", "--algebra", "k3prod", "--twist", "bundled", "--max", "5"]
     code, out, _ = run(capsys, *argv, "--json")
@@ -692,24 +725,50 @@ def test_nodes_over_the_unit_are_evaluated(capsys, tmp_path):
             for w in report["witnesses"]] == want
 
 
+def _tree_ops(tree):
+    """(name, arity) of every node of a JSON tree."""
+    if not isinstance(tree, list):
+        return set()
+    return {(tree[0], len(tree) - 1)}.union(*(_tree_ops(t) for t in tree[1:]))
+
+
+_X, _Y, _Z = ({"var": v} for v in "xyz")
+
+
 @pytest.mark.parametrize(
     "algebra, tree, named",
     [
-        ("sl2", ["nu", {"var": "x"}, {"var": "y"}], "algebra has no operation 'nu'"),
-        ("sl2", ["mu", _UNIT, {"var": "y"}], "monomial uses the unit but the algebra has none"),
+        ("sl2", ["nu", _X, _Y], "algebra has no operation 'nu'"),
+        ("sl2", ["mu", _UNIT, _Y], "monomial uses the unit but the algebra has none"),
+        ("zero", ["zero", ["nu", _X, _Y], _Z], "algebra has no operation 'nu'"),
+        ("zero", ["zero", ["mu", _X, _Y, _Z], _X], "'mu' has arity 2, got 3"),
+        ("zero", ["zero", ["mu", _UNIT, _Y], _Z],
+         "monomial uses the unit but the algebra has none"),
     ],
-    ids=["missing-op", "unit-without-unit"],
+    ids=["missing-op", "unit-without-unit", "missing-op-below-zero-table",
+         "wrong-arity-below-zero-table", "unit-below-zero-table"],
 )
 def test_identities_the_algebra_cannot_evaluate(capsys, tmp_path, algebra, tree, named):
-    """An identity whose op the algebra lacks, or that uses a unit the
-    algebra does not have, is a usage error."""
+    """An identity whose op the algebra lacks, or has with another arity,
+    or that uses a unit the algebra does not have, is a usage error, also
+    below an operation with no entries ("zero", added to sl2), where the
+    identity is zero on every tuple. An unbound variable cannot reach check,
+    whose variables are the identity's leaves; test_fdalg covers it."""
+    if algebra == "zero":
+        from homforge.fdalg import builtin_algebra
+
+        data = builtin_algebra("sl2").to_json()
+        data["ops"].append({"name": "zero", "arity": 2, "entries": []})
+        algebra = tmp_path / "zero.json"
+        algebra.write_text(json.dumps(data))
+    ops = [{"name": n, "arity": a} for n, a in sorted(_tree_ops(tree))]
     data = {
-        "signature": {"ops": [{"name": tree[0], "arity": 2}], "unitary": True},
+        "signature": {"ops": ops, "unitary": True},
         "terms": [{"coeff": "1", "tree": tree}],
     }
     path = tmp_path / "ident.json"
     path.write_text(json.dumps(data))
-    code, out, err = run(capsys, "check", "--algebra", algebra, "--identity", str(path))
+    code, out, err = run(capsys, "check", "--algebra", str(algebra), "--identity", str(path))
     assert code == 2 and not out
     assert err == f"error: {named}\n"
 

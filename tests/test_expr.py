@@ -29,6 +29,7 @@ from homforge.expr import (
     poly_to_json,
     render_poly,
     unshuffle,
+    unshuffle_pairs,
 )
 from homforge.rationals import rat
 
@@ -135,6 +136,23 @@ def test_unshuffle_printed_examples():
         ((), ("x", "y")): 1,
     }
     assert len(unshuffle(("x", "y", "z"))) == 8
+
+
+@pytest.mark.parametrize(
+    "letters", ["", "x", "xy", "xx", "xyz", "xyx", "wxyz", "xxyy", "vwxvy", "uvwxyz", "xyxzyx"]
+)
+def test_unshuffle_pairs_follow_the_subset_masks(letters):
+    """One (left, right) pair per subset of the positions, in subset-mask
+    order, repeated letters kept apart, on words of length 0 to 6."""
+    w = tuple(letters)
+    n = len(w)
+    want = [
+        (tuple(w[i] for i in range(n) if mask >> i & 1),
+         tuple(w[i] for i in range(n) if not mask >> i & 1))
+        for mask in range(1 << n)
+    ]
+    assert unshuffle_pairs(w) == want
+    assert unshuffle_pairs(w) == want  # the second call reuses the positions of length n
 
 
 def test_unshuffle_cocommutative_and_counts():

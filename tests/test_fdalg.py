@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import eval_poly as oracle_eval_poly, op_eval, sampled_power_check
 
-from homforge.expr import Leaf, Node, Poly, collect, leaves, parse_poly
+from homforge.expr import Leaf, Node, Poly, apply_op, collect, leaves, mul, parse_poly
 from homforge.fdalg import (
     _walk,
     AlgebraSpec,
@@ -40,9 +40,10 @@ from homforge.fdalg import (
     matrix,
     polarization_vectors,
     sabinin_from,
+    tabulate_poly,
     yau_twist,
 )
-from homforge.homify import catalog
+from homforge.homify import IdentitySystem, catalog
 from homforge.rationals import ONE, rat
 
 
@@ -619,22 +620,45 @@ def test_sparse_kernel_matches_dense_oracles(case):
     assert lincomb([(ONE, got), (-ONE, got)]) == {}
 
 
+def _with_zero_op(spec):
+    """spec with one more binary operation, "nu", whose table has no entries."""
+    ops = {**spec.ops, "nu": MultilinearOp.zero("nu", 2, spec.dim)}
+    return AlgebraSpec(spec.dim, spec.basis, ops, spec.alpha)
+
+
+def _through_zero_table(spec, m):
+    """Does some node of m apply an operation with no entries?"""
+    return isinstance(m, Node) and (
+        spec.ops[m.op].is_zero() or any(_through_zero_table(spec, a) for a in m.args)
+    )
+
+
 @st.composite
 def walk_cases(draw):
-    """An algebra from small_algebras, a random polynomial in up to three
-    variables with twisted leaves and subtrees shared between monomials, a
-    polarization set per variable (of unequal sizes when the drawn
-    multiplicities differ) and a slice [lo, hi) of their tuples."""
+    """An algebra from small_algebras, some with a second, all-zero
+    operation nu; a random polynomial in up to three variables with twisted
+    leaves and subtrees shared between monomials, with monomials through nu
+    when the algebra has it, mixed with the others or alone; a polarization
+    set per variable (of unequal sizes when the drawn multiplicities differ)
+    and a slice [lo, hi) of their tuples."""
     spec = draw(small_algebras())
+    if draw(st.booleans()):
+        spec = _with_zero_op(spec)
+    ops = st.sampled_from(sorted(spec.ops))
     variables = ["x", "y", "z"][: draw(st.integers(1, 3))]
     leaf = st.builds(Leaf, st.sampled_from(variables), st.integers(0, 2))
     tree = st.recursive(
-        leaf, lambda kids: st.tuples(kids, kids).map(lambda ab: Node("mu", ab)), max_leaves=4
+        leaf, lambda kids: st.builds(Node, ops, st.tuples(kids, kids)), max_leaves=4
     )
     pool = draw(st.lists(tree, min_size=1, max_size=3))
     part = st.sampled_from(pool)
-    mono = st.one_of(part, st.tuples(part, part).map(lambda ab: Node("mu", ab)))
+    mono = st.one_of(part, st.builds(Node, ops, st.tuples(part, part)))
     terms = draw(st.lists(st.tuples(mono, st.integers(-3, 3)), max_size=4))
+    if "nu" in spec.ops:  # live terms and terms through nu, or the latter only
+        through_nu = st.builds(Node, st.just("nu"), st.tuples(part, part))
+        coeff = st.sampled_from([-2, -1, 1, 2])
+        dead = st.lists(st.tuples(through_nu, coeff), min_size=1, max_size=2)
+        terms = (terms if draw(st.booleans()) else []) + draw(dead)
     candidate_sets = [
         polarization_vectors(spec.dim, spec.basis, draw(st.integers(1, 3))) for _ in variables
     ]
@@ -644,19 +668,30 @@ def walk_cases(draw):
     return spec, Poly(collect(terms)), variables, candidate_sets, lo, hi
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(walk_cases())
 def test_walk_matches_recursive_evaluation(case):
     """The walk yields, for every tuple of its slice and in product order,
-    the index, the positions, and the value the recursive evaluator gives."""
+    the index, the positions, and the value the recursive evaluator gives.
+    It is None, and the polynomial is zero on every tuple, exactly when
+    every monomial passes through an operation with no entries; eval_poly
+    then gives {} and tabulate_poly an empty table."""
     spec, poly, variables, candidate_sets, lo, hi = case
-    got = list(_walk(spec, poly, variables, candidate_sets, lo, hi))
+    walk = _walk(spec, poly, variables, candidate_sets, lo, hi)
     places = itertools.product(*(range(len(cs)) for cs in candidate_sets))
     want = []
     for index, positions in enumerate(itertools.islice(places, lo, hi), lo):
         assignment = {v: cs[p][1] for v, cs, p in zip(variables, candidate_sets, positions)}
         want.append((index, positions, oracle_eval_poly(spec, poly, assignment)))
-    assert got == want
+    pruned = all(_through_zero_table(spec, m) for m in poly.terms)
+    assert (walk is None) == (pruned and lo < hi)
+    if walk is None:
+        assert all(value == {} for _, _, value in want)
+        assignment = {v: cs[-1][1] for v, cs in zip(variables, candidate_sets)}
+        assert eval_poly(spec, poly, assignment) == {}
+        assert tabulate_poly("t", spec, poly, [*variables, "w"]).is_zero()  # arity >= 2
+    else:
+        assert list(walk) == want
 
 
 def test_op_eval_matches_the_definition():
@@ -670,6 +705,20 @@ def test_op_eval_matches_the_definition():
     got = op.eval([a, b, c])
     assert got == op_eval(op, [a, b, c]) == {1: rat(2), 2: rat(-1)}  # coordinate 0 cancels
     assert op.eval([{2: ONE}, {0: ONE}, c]) == {}  # the prefix (2, 0) has no entry
+
+
+def test_binary_op_eval_matches_the_definition():
+    """A binary operation on arguments with several nonzero coordinates:
+    an index with no row, a row with no entry at an index, and an output
+    coordinate that cancels."""
+    op = MultilinearOp.from_sparse("b", 2, 4, [
+        [0, 0, 0, "1"], [0, 0, 1, "2"], [0, 1, 0, "-1"], [1, 0, 2, "1"], [2, 2, 1, "1/2"],
+    ])
+    a, b = {0: rat(1, 2), 1: ONE, 3: rat(5)}, {0: rat(2), 1: rat(2), 3: rat(-2, 3)}
+    got = op.eval([a, b])
+    assert got == op_eval(op, [a, b]) == {1: rat(2), 2: rat(2)}  # coordinate 0 cancels
+    assert _no_zero_values(got)
+    assert op.eval([{1: ONE}, {1: ONE}]) == {}  # the row of 1 has no entry at 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -713,3 +762,43 @@ def test_walk_evaluates_fewer_ops_than_the_per_tuple_oracle(monkeypatch, sl2):
     report = check_identity(spec, system)
     assert report.ok and report.checked == tuples
     assert 0 < len(calls) < per_tuple
+
+
+def test_zero_table_keeps_the_errors_below_it(sl2):
+    """A subtree below an all-zero table is still compiled: an unknown op,
+    a wrong arity and an unbound variable there raise as they do elsewhere."""
+    spec = _with_zero_op(sl2)
+    x, y, q = (Poly.gen(v) for v in "xyq")
+    points = {"x": spec.basis_vector(0), "y": spec.basis_vector(1)}
+    assert eval_poly(spec, apply_op("nu", [mul(x, y), y]), points) == {}
+    cases = [
+        (apply_op("nu", [apply_op("rho", [x, y]), y]), "algebra has no operation 'rho'"),
+        (apply_op("nu", [apply_op("mu", [x, y, x]), y]), "'mu' has arity 2, got 3"),
+        (apply_op("nu", [mul(x, q), y]), "unbound variable 'q'"),
+    ]
+    for poly, message in cases:
+        with pytest.raises(FdalgError, match=re.escape(message)):
+            eval_poly(spec, poly, points)
+
+
+def test_pruned_identity_starts_no_pool(monkeypatch, sl2):
+    """check_identity with jobs=2 decides an identity whose every monomial
+    passes through an all-zero table without a process pool, and reports
+    what the serial check reports; a live identity does reach the pool."""
+    import concurrent.futures
+
+    spec = _with_zero_op(sl2)
+    x, y, z = (Poly.gen(v) for v in "xyz")
+    dead = IdentitySystem("dead", spec.signature(), (apply_op("nu", [mul(x, y), z]),), True)
+    live = IdentitySystem("live", spec.signature(), (mul(mul(x, y), z),), True)
+    serial = check_identity(spec, dead).to_json()
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert check_identity(spec, dead, jobs=2).to_json() == serial
+    assert serial["status"] == "pass" and serial["checked"] == 27
+    with pytest.raises(AssertionError, match="pool was started"):
+        check_identity(spec, live, jobs=2)
