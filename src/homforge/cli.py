@@ -201,13 +201,15 @@ def cmd_qalpha(args) -> int:
     return _emit(args, "qalpha", "pass", {"value": value}, human, t0)
 
 
+def _family(spec: AlgebraSpec, cls: str, cutoff: int):
+    """The Sabinin operation family of a --class: YIII_hom or a printed construction."""
+    return yiii_hom(spec, cutoff) if cls == "yiii" else sabinin_from(spec, cls, cutoff)
+
+
 def cmd_sabinin(args) -> int:
     t0 = time.perf_counter()
     spec = _load_algebra(args)
-    if args.cls == "yiii":
-        fam = yiii_hom(spec, args.cutoff)
-    else:
-        fam = sabinin_from(spec, args.cls, args.cutoff)
+    fam = _family(spec, args.cls, args.cutoff)
     report = check_sabinin_axioms(fam, max(args.cutoff - 1, 0))
     human = [f"sabinin[{args.cls}] on {spec.name or args.algebra}: {report.status}"]
     human += [f"  {r.name}: {r.status} ({r.checked} tuples)" for r in report.axioms]
@@ -251,11 +253,7 @@ def cmd_primitive(args) -> int:
 def cmd_envelope(args) -> int:
     t0 = time.perf_counter()
     spec = _load_algebra(args)
-    if args.cls == "yiii":
-        fam = yiii_hom(spec, max(args.degree - 2, 0))
-    else:
-        fam = sabinin_from(spec, args.cls, max(args.degree - 2, 0))
-    quotient = u_hom(fam, args.degree)
+    quotient = u_hom(_family(spec, args.cls, max(args.degree - 2, 0)), args.degree)
     report = quotient.report()
     human = [f"U_hom({spec.name or args.algebra}) up to degree {args.degree}:"]
     human += [

@@ -18,7 +18,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import lcm
-from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
@@ -227,6 +226,8 @@ def _shape_leaves(m: Monomial, lvs: List[Tuple[Leaf, int]], depth: int = 0):
     if isinstance(m, Leaf):
         lvs.append((m, depth))
         return None
+    if m is UNIT:
+        raise SignatureError("the quotient's trees hold no unit")
     if m.op != MUL:
         raise SignatureError(f"the quotient has only the product {MUL!r}, not {m.op!r}")
     if len(m.args) != 2:
@@ -596,113 +597,108 @@ def alpha_injectivity_probe(
 # Universal enveloping Hom-algebras (truncated)
 
 
+def _ranks(basis: Sequence[str]) -> List[int]:
+    """Each basis index's rank among the sorted letters: its digit in a column."""
+    return [sorted(basis).index(b) for b in basis]
+
+
 class Template:
     """A polynomial compiled once for expand_exponents, over letters that
-    stand for basis indices.
+    stand for basis indices, against the column rule of FilteredQuotient.
 
-    Each term becomes a function of the entry lists of its leaves, built on
-    the term's tree skeleton. A leaf A^k(letters[s]) reads the list of the
-    slot (s, k); any other leaf is fixed, an undecorated one staying as it
-    is and a decorated one expanding through its basis index, and the unit
-    stays. The list of basis index i under exponent k, column i of alpha^k
-    as (leaf, coefficient) pairs (the single leaf e_i when k = 0), is built
-    once per template."""
+    Each term must be a binary product tree over the letters (else
+    BoundsError). A term of n leaves becomes its column with every digit 0,
+    base(n) + s dim^n with s the index of its shape in _shape_table(n), and
+    one slot per leaf A^k(letters[s]): (s, k, the place value dim^(n-1-i)
+    of leaf i). A slot's list under basis index j, built once per template,
+    is column j of alpha^k as (digit times place value, coefficient) pairs,
+    a digit being the rank of a letter among the sorted basis letters."""
 
     def __init__(self, p: Poly, letters: Sequence[str], spec: AlgebraSpec):
-        self.spec = spec
-        self.gens = [Leaf(b, 0) for b in spec.basis]
-        letter_slot = {l: s for s, l in enumerate(letters)}
-        self.slots: Dict[Tuple[int, int], int] = {}  # (slot, exponent) -> position
-        self.terms = [(self._compile(m, letter_slot), c) for m, c in p.terms.items()]
-        exps = {k for _, k in self.slots}
-        self.columns = {(i, k): self._column(i, k) for k in exps for i in range(spec.dim)}
-
-    def _column(self, i: int, k: int) -> List[Tuple[Leaf, object]]:
-        return [(self.gens[j], c) for j, c in self.spec.alpha_columns(k)[i].items()]
-
-    def _compile(self, m: Monomial, letter_slot: Dict[str, int]):
-        """m as a function of the slots' entry lists that gives the (tree,
-        coefficient) pairs of its expansion; the trees share their subtrees."""
-        if isinstance(m, Leaf):
-            if m.base in letter_slot:
-                slot = (letter_slot[m.base], m.exp)
-                return itemgetter(self.slots.setdefault(slot, len(self.slots)))
-            if m.exp:
-                fixed = self._column(self.spec.basis_index(m.base), m.exp)
-            else:
-                fixed = [(m, ONE)]
-            return lambda entries: fixed
-        if m is UNIT:
-            return lambda entries: [(UNIT, ONE)]
-        op = m.op
-        kids = [self._compile(a, letter_slot) for a in m.args]
-        if len(kids) == 2:  # the binary product, in one comprehension
-            left, right = kids
-            return lambda entries: [
-                (Node(op, (a, b)), x * y) for a, x in left(entries) for b, y in right(entries)
-            ]
-
-        def expand_node(entries):
-            # every choice of one pair per child, children left to right
-            acc = [((), ONE)]
-            for kid in kids:
-                acc = [(ts + (t,), c * x) for ts, c in acc for t, x in kid(entries)]
-            return [(Node(op, ts), c) for ts, c in acc]
-
-        return expand_node
+        dim, letter_slot = spec.dim, {l: s for s, l in enumerate(letters)}
+        self.slots: Dict[Tuple[int, int, int], int] = {}  # (slot, exponent, place) -> position
+        self.terms: List[Tuple[int, Tuple[int, ...], object]] = []
+        for m, c in p.terms.items():
+            lvs: List[Tuple[Leaf, int]] = []
+            try:
+                shape, n = _shape_leaves(m, lvs), len(lvs)
+                slots = tuple(self.slots.setdefault((letter_slot[l.base], l.exp, dim ** (n - 1 - i)),
+                                                    len(self.slots)) for i, (l, _) in enumerate(lvs))
+            except (SignatureError, KeyError):
+                raise BoundsError(f"{render_mono(m, top=True)} is no product of the letters "
+                                  f"{tuple(letters)}") from None
+            base = sum(len(_shape_table(k).shapes) * dim ** k for k in range(1, n))
+            self.terms.append((base + _shape_table(n).index[shape] * dim ** n, slots, c))
+        rank = _ranks(spec.basis)
+        self.columns = {
+            (j, k, place): [(rank[i] * place, x) for i, x in spec.alpha_columns(k)[j].items()]
+            for _, k, place in self.slots for j in range(dim)
+        }
 
 
-def expand_exponents(template: Template, word: Sequence[int]) -> List[Tuple[Monomial, object]]:
+def expand_exponents(template: Template, word: Sequence[int]) -> List[Tuple[int, object]]:
     """The template with letters[s] -> basis[word[s]], expanded through
-    spec.alpha, as (monomial, coefficient) pairs to be summed with collect.
+    spec.alpha, as (column, coefficient) pairs to be summed with collect.
 
     A^k(letters[s]) reads column word[s] of alpha^k, an undecorated letter
     becomes its basis element; every choice of one entry per leaf gives one
-    tree, weighted by the product of the chosen coefficients. A word that
-    repeats a basis letter merges template monomials, and so may the
-    expansion: the caller sums them."""
+    column, the term's base column plus the chosen digits at their places,
+    weighted by the product of the chosen coefficients. A word that repeats
+    a basis letter merges template monomials, and so may the expansion: the
+    caller sums them."""
     columns = template.columns
-    entries = [columns[word[s], k] for s, k in template.slots]
-    return [(t, c * x) for build, c in template.terms for t, x in build(entries)]
+    entries = [columns[word[s], k, place] for s, k, place in template.slots]
+    out: List[Tuple[int, object]] = []
+    for base, slots, c in template.terms:
+        acc = [(base, c)]
+        for s in slots:
+            acc = [(col + r, x * y) for col, x in acc for r, y in entries[s]]
+        out += acc
+    return out
 
 
 class FilteredQuotient:
     """K{S} monomials of degree <= d modulo (possibly inhomogeneous) relations.
 
-    S is the basis of spec, the algebra of the relations. Every monomial is
-    numbered once, in mono_key order, which is degree-dominant: a row's
-    degree is that of its largest column, and rows whose pivot sits in
-    degree <= k span exactly the computed ideal section there. The columns
-    are enumerated in that order, not sorted into it: degree by degree,
-    shapes by preorder arity sequence, then leaf words over the letters of
-    S in sorted order (not basis order). The relations are numbered on
-    entry and closed as rows under multiplication by monomials within the
-    degree bound, through a product table of columns (a relation met twice,
-    as a set of terms, is closed once); the rows are added in pivot order.
-    The stored rows are primitive integer rows; nf divides once, returns
-    exact rationals, and rejects a monomial outside the quotient (the unit,
-    a twisted leaf, a letter outside S).
+    S is the basis of spec, the algebra of the relations. The columns are
+    the binary product trees over S of degree 1 to d, numbered by one rule:
+    a tree of degree n, with shape index s in _shape_table(n) and leaf word
+    r_0 .. r_(n-1) over the letters of S in sorted order (not basis order),
+    is column base(n) + s dim^n + sum_i r_i dim^(n-1-i), where base(n)
+    counts the trees of lower degree. That is mono_key order, which is
+    degree-dominant: a row's degree is that of its largest column, and rows
+    whose pivot sits in degree <= k span the computed ideal section there.
+    The relations are rows over these columns, as u_hom_relations gives
+    them, closed under multiplication by monomials within the bound through
+    a product table of columns (a relation met twice, as a set of terms, is
+    closed once) and added in pivot order as primitive integer rows. nf
+    numbers a monomial through its Template over S, by the same rule,
+    divides once, returns exact rationals, and rejects a monomial with no
+    column (the unit, a twisted leaf, a letter outside S, a degree above d).
     """
 
-    def __init__(self, spec: AlgebraSpec, relations: Sequence[Poly], degree_bound: int):
+    def __init__(self, spec: AlgebraSpec, relations: Sequence[Dict[int, object]],
+                 degree_bound: int):
         self.spec = spec
         self.degree_bound = degree_bound
-        # column -> monomial and back, in mono_key order: a shape's trees,
-        # its subtrees' trees multiplied left-major, come in leaf-word order
-        trees = {None: [Leaf(b, 0) for b in sorted(spec.basis)]}
-        self._columns: List[Monomial] = []
-        self._by_degree: Dict[int, range] = {}
-        for n in range(1, degree_bound + 1):
-            start = len(self._columns)
-            for shape in sorted(_tree_shapes(n), key=_shape_key):
-                if shape is not None:
-                    trees[shape] = [Node(MUL, (a, b)) for a in trees[shape[0]]
-                                    for b in trees[shape[1]]]
-                self._columns.extend(trees[shape])
-            self._by_degree[n] = range(start, len(self._columns))
-        self._position = {m: i for i, m in enumerate(self._columns)}
+        # column -> tree by the rule: a shape's trees, its subtrees' trees
+        # multiplied left-major, come in leaf-word order; times[i][j]
+        # numbers columns[i] * columns[j], each product column split once
+        self._columns = columns = [Leaf(b, 0) for b in sorted(spec.basis)]
+        self._by_degree: Dict[int, range] = {1: range(spec.dim)}
+        blocks = {None: range(spec.dim)}  # shape -> its columns
+        times: Dict[int, Dict[int, int]] = {}
+        for n in range(2, degree_bound + 1):
+            for shape in _shape_table(n).shapes:
+                first = len(columns)
+                for i in blocks[shape[0]]:
+                    for j in blocks[shape[1]]:
+                        times.setdefault(i, {})[j] = len(columns)
+                        columns.append(Node(MUL, (columns[i], columns[j])))
+                blocks[shape] = range(first, len(columns))
+            self._by_degree[n] = range(self._by_degree[n - 1].stop, len(columns))
         self._degree = [n for n, block in self._by_degree.items() for _ in block]
-        rows = self._closure([self._numbered(r) for r in relations if not r.is_zero()])
+        rows = self._closure([r for r in relations if r], times)
         self.space = RowSpace()
         # in pivot order a stored row seldom holds a new pivot; the fully
         # reduced basis of the span is the same in any order
@@ -712,25 +708,23 @@ class FilteredQuotient:
         # degree k the relation rank there
         self._ranks = Counter(self._degree[piv] for piv in self.space.rows)
 
-    def _numbered(self, p: Poly) -> Dict[int, object]:
-        try:
-            return {self._position[m]: c for m, c in p.terms.items()}
-        except KeyError as e:
-            m = render_mono(e.args[0], top=True)
-            raise BoundsError(f"{m} is outside the quotient: degree 1 to {self.degree_bound} "
-                              f"over {self.spec.basis}, untwisted") from None
+    def _column(self, m: Monomial) -> int:
+        """m's column, the one term of m's template over the basis;
+        BoundsError when m has none."""
+        if degree(m) <= self.degree_bound and not any(l.exp for l in leaves(m)):
+            try:
+                template = Template(Poly.monomial(m), self.spec.basis, self.spec)
+                return expand_exponents(template, range(self.spec.dim))[0][0]
+            except BoundsError:
+                pass
+        raise BoundsError(f"{render_mono(m, top=True)} is outside the quotient: degree 1 to "
+                          f"{self.degree_bound} over {self.spec.basis}, untwisted")
 
-    def _closure(self, relations: Sequence[Dict[int, object]]) -> List[Dict[int, object]]:
-        # times_left[j][i] and times_right[j][i] number the products
-        # columns[j] * columns[i] and columns[i] * columns[j]: splitting each
-        # product column once lists every product within the bound
-        times_left: List[Dict[int, int]] = [{} for _ in self._columns]
-        times_right: List[Dict[int, int]] = [{} for _ in self._columns]
-        position = self._position
-        for k, m in enumerate(self._columns):
-            if isinstance(m, Node):
-                i, j = position[m.args[0]], position[m.args[1]]
-                times_left[i][j] = times_right[j][i] = k
+    def _numbered(self, p: Poly) -> Dict[int, object]:
+        return {self._column(m): c for m, c in p.terms.items()}
+
+    def _closure(self, relations: Sequence[Dict[int, object]],
+                 times: Dict[int, Dict[int, int]]) -> List[Dict[int, object]]:
         seen = set()
         work = list(relations)
         out: List[Dict[int, object]] = []
@@ -744,9 +738,8 @@ class FilteredQuotient:
             # distinct monomials have distinct products: nothing to collect
             for n in range(1, self.degree_bound - self._degree[max(r)] + 1):
                 for j in self._by_degree[n]:
-                    left, right = times_left[j], times_right[j]
-                    work.append({left[i]: c for i, c in r.items()})
-                    work.append({right[i]: c for i, c in r.items()})
+                    work.append({times[j][i]: c for i, c in r.items()})
+                    work.append({times[i][j]: c for i, c in r.items()})
         return out
 
     def monomials_of_degree(self, n: int) -> List[Monomial]:
@@ -770,15 +763,17 @@ class FilteredQuotient:
         return {k: (dim, self._ranks[k]) for k, dim in self.graded_dims().items()}
 
 
-def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
-    """Generators of the enveloping ideal, as elements of K{S}.
+def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Dict[int, object]]:
+    """Generators of the enveloping ideal, as rows over the columns of
+    FilteredQuotient (elements of K{S} numbered by its column rule).
 
     Three families: [a,b] + <a,b> with [a,b] the free commutator,
     <u;a,b> + q(u,a,b) - q(u,b,a) for nonempty basis words u, and Phi(u,v)
     minus the symmetrized q-average wherever Phi tables exist. Each relation
     is a table value minus a symbolic template, one per shape on fixed
     letters; the template is compiled once and expanded for each word of
-    basis indices through the family's twisting map.
+    basis indices through the family's twisting map, straight into
+    columns: no relation tree is built.
 
     Phi words are taken one per orbit: u and v each as a sorted multiset of
     basis indices. Phi is symmetric in its u arguments and in its v
@@ -792,16 +787,16 @@ def u_hom_relations(fam: OpFamily, degree_bound: int) -> List[Poly]:
     minus template, so the ideal is the same, and with an integral table
     and twisting map every coefficient is an int.
     """
-    relations: List[Poly] = []
+    rank = _ranks(fam.spec.basis)  # the degree-1 columns
+    relations: List[Dict[int, object]] = []
     for table, template, letters, words in _relation_templates(fam, degree_bound):
         scale = lcm(*(int(c.denominator) for c in template.terms.values()))
         compiled = Template(template.scaled(-scale), letters, fam.spec)
-        gens = compiled.gens
         for word in words:
-            value = ((gens[i], rat(c * scale)) for i, c in table.basis_value(word).items())
+            value = ((rank[i], rat(c * scale)) for i, c in table.basis_value(word).items())
             r = collect(itertools.chain(value, expand_exponents(compiled, word)))
             if r:
-                relations.append(Poly(r))
+                relations.append(r)
     return relations
 
 
@@ -929,17 +924,20 @@ def check_ideal_coproduct(
     Membership is tested through the quotient map on each tensor factor:
     the combination vanishes in (B/I) (x) (B/I) exactly when it lies in
     B (x) I + I (x) B. Coproduct summands carry twisting exponents, which are
-    expanded through the quotient algebra's twisting map before reduction.
+    expanded through the quotient algebra's twisting map and reduced over
+    its columns; a summand with no column leaves the check inconclusive.
     """
     spec = quotient.spec
 
-    def image(m: Monomial) -> Dict[Monomial, object]:
+    def image(m: Monomial) -> Dict[object, object]:
         # m expanded through alpha, each basis letter standing for itself,
-        # and reduced; the unit part stays as it is
+        # and reduced over the quotient's columns; the unit stays as it is
+        if m is UNIT:
+            return {UNIT: ONE}
+        if degree(m) > quotient.degree_bound:
+            raise BoundsError(f"monomial degree {degree(m)} exceeds bound {quotient.degree_bound}")
         template = Template(Poly.monomial(m), spec.basis, spec)
-        p = collect(expand_exponents(template, range(spec.dim)))
-        unit = p.pop(UNIT, ZERO)
-        return collect([*quotient.nf(Poly(p)).terms.items(), (UNIT, unit)])
+        return quotient.space.reduce(collect(expand_exponents(template, range(spec.dim))))
 
     report = BialgebraReport(status="pass")
     for pos, r in enumerate(generators):

@@ -44,3 +44,27 @@ def test_component_hooks_read_what_a_component_has():
     # A^1(a)*(A^1(c)*b) = (a*A^1(c))*A^1(b); c at depth 1 is above the bound
     assert (len(comp.monomials), comp.rank, comp.truncated) == (8, 2, True)
     assert layer.counts == {"built": 1, "monomials": 8, "rank": 2, "truncated": 1, "hits": 1}
+
+
+def test_envelope_metrics_move_under_the_tracer(capsys):
+    """The benchmark's hook contract on two degree-4 envelopes, twisted
+    heis3 yiii and twisted sl2 lie: every binding of a traced function is
+    wrapped, every metric the layer table says should move on the envelope
+    workload is nonzero, and u_hom_relations counts the rows it returns."""
+    from homforge import cli
+    from homforge.fdalg import builtin_algebra, hom_version, sabinin_from
+    from homforge.hombialg import u_hom_relations
+    from homforge.qops import yiii_hom
+
+    layertrace = _layertrace()
+    with layertrace.Tracer() as tracer:
+        assert tracer.unwrapped_bindings() == []
+        for algebra, cls in (("heis3", "yiii"), ("sl2", "lie")):
+            argv = ["envelope", "--algebra", algebra, "--twist", "bundled", "--class", cls,
+                    "--degree", "4", "--json"]
+            assert cli.main(argv) == 0
+    values = tracer.metrics(1)
+    assert [m for m in layertrace.SHOULD_MOVE["envelope"] if not values[m]] == []
+    rows = (u_hom_relations(yiii_hom(hom_version(builtin_algebra("heis3")), 2), 4)
+            + u_hom_relations(sabinin_from(hom_version(builtin_algebra("sl2")), "lie", 2), 4))
+    assert values["hombialg.u_hom_relations.relations"] == len(rows)
