@@ -3,9 +3,12 @@
 The coproduct here makes generators primitive and is extended as an algebra
 morphism into the componentwise tensor product; multiplication by the unit
 applies the twisting map, which is what separates this coproduct from the
-classical one. delta computes it by the recursive morphism extension;
-delta_summand gives one summand by the direct partition-labeling rule, which
-the tests sum over all partitions as an independent check.
+classical one. delta computes it by the recursive morphism extension over
+plain dicts of pairs, through the one pair-product loop TensorElement.product
+uses too; delta_summand gives one summand by the direct partition-labeling
+rule, which the tests sum over all partitions as an independent check. The
+antipode defect is built in one pass over the coproduct of alpha(u), one tree
+per summand.
 
 Quotients are degree/exponent bounded: ideal membership inside the bounds is
 decided by exact row reduction; a nonzero normal form in a truncated
@@ -36,7 +39,6 @@ from .expr import (
     leaves,
     lincomb,
     mono_key,
-    mul,
     mul_mono,
     render_mono,
     render_poly,
@@ -67,10 +69,7 @@ class TensorElement(Poly):
         return TensorElement({(a, b): rat(c)})
 
     def product(self, other: "TensorElement", op: str = MUL) -> "TensorElement":
-        return TensorElement(expand(
-            [self.terms, other.terms],
-            lambda x, y: (mul_mono(x[0], y[0], op), mul_mono(x[1], y[1], op)),
-        ))
+        return TensorElement(_pair_product(self.terms, other.terms, op))
 
     def swap(self) -> "TensorElement":
         return TensorElement({(b, a): c for (a, b), c in self.terms.items()})
@@ -87,16 +86,32 @@ class TensorElement(Poly):
         return " + ".join(bits)
 
 
-def delta(m: Monomial) -> TensorElement:
-    """Recursive coproduct: unit grouplike, decorated generators primitive,
-    extended through binary products componentwise."""
+def _pair_product(s: Dict, t: Dict, op: str) -> Dict:
+    """The product of two combinations of pairs, side by side: every pair of
+    s times every pair of t, each side by mul_mono, the coefficients summed
+    into one dict in that order. A sum that cancels stays, as 0."""
+    out: Dict = {}
+    for (a1, b1), c1 in s.items():
+        for (a2, b2), c2 in t.items():
+            k = (mul_mono(a1, a2, op), mul_mono(b1, b2, op))
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return out
+
+
+def _delta_terms(m: Monomial) -> Dict:
     if m is UNIT:
-        return TensorElement.pair(UNIT, UNIT)
+        return {(UNIT, UNIT): ONE}
     if isinstance(m, Leaf):
-        return TensorElement.pair(UNIT, m) + TensorElement.pair(m, UNIT)
+        return {(UNIT, m): ONE, (m, UNIT): ONE}
     if len(m.args) != 2:
         raise SignatureError("the coproduct is defined for binary products only")
-    return delta(m.args[0]).product(delta(m.args[1]), m.op)
+    return _pair_product(_delta_terms(m.args[0]), _delta_terms(m.args[1]), m.op)
+
+
+def delta(m: Monomial) -> TensorElement:
+    """Recursive coproduct: unit grouplike, decorated generators primitive,
+    extended through binary products componentwise, on plain dicts."""
+    return TensorElement(_delta_terms(m))
 
 
 def delta_poly(p: Poly) -> TensorElement:
@@ -205,11 +220,19 @@ def antipode(p: Poly) -> Poly:
 
 def antipode_defect(m: Monomial) -> Poly:
     """alpha( sum u_(1) S(u_(2)) - u(eps(u)) ), the element that must die in
-    the free Hom-associative quotient."""
-    terms = [(c, mul(Poly.monomial(m1), antipode(Poly.monomial(m2))))
-             for (m1, m2), c in delta(m).terms.items()]
-    terms.append((-ONE, Poly.unit(counit_mono(m))))
-    return apply_alpha(Poly(lincomb(terms)), 1)
+    the free Hom-associative quotient.
+
+    One tree per coproduct summand. alpha is a morphism of algebras and of
+    coalgebras, so alpha(u1 S(u2)) = alpha(u1) S(alpha(u2)), and the pairs
+    (alpha(u1), alpha(u2)) are those of Delta(alpha(u)), in the same order."""
+    out: Dict[Monomial, object] = {}
+    for (m1, m2), c in delta(alpha_mono(m, 1)).terms.items():
+        s, t = antipode_mono(m2)
+        t = mul_mono(m1, t)
+        out[t] = out[t] + s * c if t in out else s * c
+    if m is UNIT:  # u(eps(u)), nonzero on the unit only
+        out[UNIT] -= ONE
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------

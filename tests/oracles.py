@@ -115,6 +115,35 @@ def delta_by_partitions(m):
     ))
 
 
+def delta_by_products(m):
+    """The recursive coproduct with a TensorElement at every level, each
+    node's coproduct the TensorElement.product of its children's."""
+    from homforge.expr import UNIT, Leaf, SignatureError
+    from homforge.hombialg import TensorElement
+
+    if m is UNIT:
+        return TensorElement.pair(UNIT, UNIT)
+    if isinstance(m, Leaf):
+        return TensorElement.pair(UNIT, m) + TensorElement.pair(m, UNIT)
+    if len(m.args) != 2:
+        raise SignatureError("the coproduct is defined for binary products only")
+    return delta_by_products(m.args[0]).product(delta_by_products(m.args[1]), m.op)
+
+
+def antipode_defect_by_polys(m):
+    """alpha( sum u_(1) S(u_(2)) - u(eps(u)) ) composed from whole Poly
+    operations: a Poly per coproduct pair, antipode() on it, mul, lincomb
+    and apply_alpha, over delta_by_products."""
+    from homforge.expr import Poly, apply_alpha, lincomb, mul
+    from homforge.hombialg import antipode, counit_mono
+    from homforge.rationals import ONE
+
+    terms = [(c, mul(Poly.monomial(m1), antipode(Poly.monomial(m2))))
+             for (m1, m2), c in delta_by_products(m).terms.items()]
+    terms.append((-ONE, Poly.unit(counit_mono(m))))
+    return apply_alpha(Poly(lincomb(terms)), 1)
+
+
 def op_eval(op, args):
     """A MultilinearOp on the vectors args, by its definition: the sum over
     every choice of one coordinate per argument of the product of the

@@ -234,6 +234,41 @@ def test_antipode_names_the_bound_the_defect_exceeds(capsys):
     assert code == 0 and "outside" not in out
 
 
+# SHA-256 of reports made when the antipode defect was composed from whole
+# Poly operations and the coproduct recursed through TensorElement.product:
+# building them over plain dicts must not change a byte.
+_PINNED_REPORTS = [
+    (["antipode", "--word", "((a*b)*(c*d))"], 0,
+     "db7103927ac56552a5aab7786b282a7d7c2a6b14248db8e354dfd8396853ad5e"),
+    (["antipode", "--word", "(a*((b*c)*(d*e)))"], 0,
+     "3d04056ab36000cd7f047af37cafeac49269f40828d4d9003b584a65b009efa9"),
+    (["antipode", "--word", "(((a*a)*(a*b))*(a*a))"], 0,
+     "46361e8cb1b9fd1271683801be14007909ba3a749d05adca6509d84d723d77ba"),
+    (["antipode", "--word", "(a*b)*c", "--degree", "1"], 3,
+     "7ef0fc8950405f6d89d12bd48acb1ee2a1aadb1ce8d1f33492be1ee3951b2370"),
+    (["antipode", "--word", "(a*b)*c", "--exp-bound", "0"], 3,
+     "5c4d4ad00a1b38b9fc87caad70c792400c65218fa93480bc101ea9541b3a1ec1"),
+    (["coproduct", "--expr", "((x*y)*z)"], 0,
+     "86278c9b24a949aadbb50163566a983f6251842ba488099bf5b4bca63a43a313"),
+    (["coproduct", "--expr", "(x*1)"], 0,
+     "895f7ba59d42e97a006187bfb07bb368ffd2fb30caef7f6c914b8e573a5e8332"),
+    (["coproduct", "--expr", "1/2*(x*y)"], 0,
+     "21f0c0efeb5ac5be1807cbb6d651991a6a45043259b23a2a90a25577a23c46e6"),
+    (["coproduct", "--expr", "br(a,b)"], 0,
+     "528ba990b1692caab61ebecb9e718c746adafc340474b459aaa23ccbecca6c28"),
+]
+
+
+@pytest.mark.parametrize("argv, code, sha256", _PINNED_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in _PINNED_REPORTS])
+def test_antipode_and_coproduct_reports_are_pinned(capsys, argv, code, sha256):
+    import hashlib
+
+    got, out, _ = run(capsys, *argv, "--json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_sabinin_cli(capsys):
     code, out, _ = run(
         capsys, "sabinin", "--algebra", "heis3", "--twist", "bundled",

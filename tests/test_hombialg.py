@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     all_binary_monomials,
+    antipode_defect_by_polys,
     delta_by_partitions,
+    delta_by_products,
     enumerate_commutative_trees,
     enumerate_pairswap_trees,
     pbw_dims,
@@ -1021,6 +1023,42 @@ def test_tensor_product_matches_naive_dicts(ms, ns, op):
     assert got.terms == {k: c for k, c in want.items() if c != 0}
     for x in (got, s + t, s - t, -s, s.scaled(3), TensorElement.zero()):
         assert type(x) is TensorElement
+
+
+small_monomials = st.recursive(
+    st.builds(Leaf, st.sampled_from("xy"), st.integers(0, 2)),
+    lambda kids: st.builds(lambda a, b: Node("mu", (a, b)), kids, kids),
+    max_leaves=3,
+)
+defect_inputs = st.one_of(
+    mu_monomials,
+    st.just(UNIT),
+    # a br product on top and inside a mu product
+    st.builds(lambda a, b: Node("br", (a, b)), small_monomials, small_monomials),
+    st.builds(lambda a, b, c: Node("mu", (a, Node("br", (b, c)))),
+              small_monomials, small_monomials, small_monomials),
+    # a ternary node, which both coproducts refuse
+    st.builds(lambda a, b, c: Node("mu", (a, Node("mu", (a, b, c)))),
+              small_monomials, small_monomials, small_monomials),
+)
+
+
+def _terms_or_error(f, m):
+    try:
+        return list(f(m).terms.items())
+    except SignatureError as e:
+        return f"SignatureError: {e}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(defect_inputs)
+def test_defect_and_coproduct_match_whole_poly_compositions(m):
+    """The one-pass antipode_defect and the dict-level delta give the terms
+    of the compositions through Poly products, antipode() and apply_alpha,
+    and through TensorElement.product, in the same order, or raise the same
+    SignatureError."""
+    assert _terms_or_error(antipode_defect, m) == _terms_or_error(antipode_defect_by_polys, m)
+    assert _terms_or_error(delta, m) == _terms_or_error(delta_by_products, m)
 
 
 def test_tensor_element_algebra():
