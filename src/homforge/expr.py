@@ -181,8 +181,11 @@ def alpha_mono(m: Monomial, k: int) -> Monomial:
         raise ValueError("twisting exponent must be nonnegative")
     if k == 0 or m is UNIT:
         return m
-    if isinstance(m, Leaf):
+    if type(m) is Leaf:
         return Leaf(m.base, m.exp + k)
+    if len(m.args) == 2:
+        a, b = m.args
+        return Node(m.op, (alpha_mono(a, k), alpha_mono(b, k)))
     return Node(m.op, tuple(alpha_mono(a, k) for a in m.args))
 
 

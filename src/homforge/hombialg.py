@@ -238,10 +238,10 @@ def antipode_defect(m: Monomial) -> Poly:
 # ---------------------------------------------------------------------------
 # The bounded free Hom-associative quotient
 #
-# Relations alpha(a)(bc) - (ab)alpha(c) preserve, leaf by leaf, the quantity
-# exponent + depth. The relation span therefore decomposes over the multiset
-# of (generator, exponent + depth) pairs, and each graded component is a
-# small space of tree shapes that can be row-reduced exactly.
+# Relations alpha(a)(bc) - (ab)alpha(c) preserve, leaf by leaf and in order,
+# the pairs (generator, exponent + depth): the phi word. The relation span
+# therefore decomposes over phi words, and each component is the small space
+# of one word's tree shapes, which can be row-reduced exactly.
 
 
 def _shape_leaves(m: Monomial, lvs: List[Tuple[Leaf, int]], depth: int = 0):
@@ -258,10 +258,14 @@ def _shape_leaves(m: Monomial, lvs: List[Tuple[Leaf, int]], depth: int = 0):
     return (_shape_leaves(m.args[0], lvs, depth + 1), _shape_leaves(m.args[1], lvs, depth + 1))
 
 
-def phi_signature(m: Monomial) -> Tuple[Tuple[str, int], ...]:
+PhiWord = Tuple[Tuple[str, int], ...]
+
+
+def phi_word(m: Monomial) -> PhiWord:
+    """m's leaves' (base, exponent + depth) pairs, in preorder."""
     lvs: List[Tuple[Leaf, int]] = []
     _shape_leaves(m, lvs)
-    return tuple(sorted((l.base, l.exp + d) for l, d in lvs))
+    return tuple((l.base, l.exp + d) for l, d in lvs)
 
 
 def _tree_shapes(n: int, _cache={}) -> List:
@@ -338,92 +342,67 @@ def _monomials(generators: Sequence[str], n: int, exp_bound: int) -> List[Monomi
     return out
 
 
-PhiWord = Tuple[Tuple[str, int], ...]
+class _PhiShapes:
+    """The columns and relations of every phi word with one phi sequence,
+    the word's phis without its letters.
 
-
-class _PhiComponent:
-    """One (generator, exp + depth) multiset component of the quotient.
-
-    A column is a tree in bounds, given as a shape of the shape table and a
-    phi word, its leaves' (base, exp + depth) pairs in preorder: a leaf's
-    exponent is its phi less its depth. The columns are listed shape by
-    shape, then by word in sorted order, which is mono_key order, since
-    within a shape the depths are fixed; the pivots follow it.
+    A phi word is a tree's leaves' (base, exp + depth) pairs in preorder. A
+    column is a shape of the shape table that puts every leaf exponent, the
+    leaf's phi less its depth, inside [0, exp_bound]; the columns follow the
+    shape index, which is mono_key order within one word, and the pivots
+    follow it. A shape that gives no negative exponent but one above the
+    bound is a tree outside the quotient, and sets truncated.
 
     A rewrite alpha(A)(BC) -> (AB)alpha(C) keeps the word and rotates the
-    shape: A's exponents fall by one, C's rise by one. So each column's
-    rows join it to its rotations with the same word that are columns too,
-    in preorder of the rotated node. The reverse direction is not needed: a
-    relation inside the component joins a member of the form alpha(A)(BC)
-    to one of the form (AB)alpha(C), so rotating the first finds it.
+    shape: A's exponents fall by one, C's rise by one. So no relation joins
+    two words, truncation is exact per word, and each column's rows join it
+    to its rotations that are columns too, in preorder of the rotated node.
+    The reverse direction is not needed: a relation inside the component
+    joins a member of the form alpha(A)(BC) to one of the form (AB)alpha(C),
+    so rotating the first finds it. None of this reads the letters.
     """
 
-    def __init__(self, signature: Tuple[Tuple[str, int], ...], exp_bound: int):
-        self.signature = signature
-        self.exp_bound = exp_bound
+    __slots__ = ("table", "truncated", "columns", "position", "space")
+
+    def __init__(self, phis: Tuple[int, ...], exp_bound: int):
+        self.table = table = _shape_table(len(phis))
         self.truncated = False
-        self._table = table = _shape_table(len(signature))
-        shape_count = len(table.shapes)
-        # the signature's distinct pairs in sorted order, and their counts
-        self._pairs, self._left = map(list, zip(*sorted(Counter(signature).items())))
-        self._words: Dict[PhiWord, int] = {}  # word -> its number
-        # column -> key, word number * shape count + shape index; and back,
-        # None at a key that is no column
-        self._keys: List[int] = []
-        self._position: List[Optional[int]] = []
+        self.columns: List[int] = []  # column -> shape index
+        # shape index -> column, None at a shape that is no column
+        self.position: List[Optional[int]] = [None] * len(table.shapes)
         for s, depths in enumerate(table.depths):
-            for word in self._words_on(depths):
-                w = self._words.get(word)
-                if w is None:
-                    w = self._words[word] = len(self._words)
-                    self._position += [None] * shape_count
-                key = w * shape_count + s
-                self._position[key] = len(self._keys)
-                self._keys.append(key)
-        self._word_list = list(self._words)
+            exps = [phi - d for phi, d in zip(phis, depths)]
+            if min(exps) < 0:
+                continue
+            if max(exps) > exp_bound:
+                self.truncated = True
+                continue
+            self.position[s] = len(self.columns)
+            self.columns.append(s)
         self.space = RowSpace()
-        for i, key in enumerate(self._keys):
-            s = key % shape_count
+        for i, s in enumerate(self.columns):
             for t in table.rotations[s]:
-                j = self._position[key - s + t]
+                j = self.position[t]
                 if j is not None:
                     self.space.add({i: ONE, j: -ONE})
 
-    def _words_on(self, depths: List[int]) -> List[PhiWord]:
-        """The words that put every exponent of a shape with these leaf
-        depths inside the bound, in sorted order. A word with a negative
-        exponent is no tree; one with none negative but one above the bound
-        is a tree outside the quotient, and sets truncated."""
-        n, bound, pairs, left = len(depths), self.exp_bound, self._pairs, self._left
-        word: List[Tuple[str, int]] = [None] * n
-        out: List[PhiWord] = []
 
-        def place(i: int, above: bool) -> None:
-            if i == n:
-                if above:
-                    self.truncated = True
-                else:
-                    out.append(tuple(word))
-                return
-            d = depths[i]
-            for k, pair in enumerate(pairs):
-                if left[k] and pair[1] >= d:
-                    here = pair[1] - d > bound
-                    if here and self.truncated:
-                        continue  # truncated is set: such trees are never columns
-                    left[k] -= 1
-                    word[i] = pair
-                    place(i + 1, above or here)
-                    left[k] += 1
+class _PhiComponent:
+    """One phi word's component of the quotient: the word's trees on the
+    columns of its phi sequence's shapes, which it shares with every word
+    of that phi sequence."""
 
-        place(0, False)
-        return out
+    __slots__ = ("word", "shapes")
+
+    def __init__(self, word: PhiWord, shapes: _PhiShapes):
+        self.word = word
+        self.shapes = shapes
 
     def _tree(self, column: int) -> Monomial:
-        w, s = divmod(self._keys[column], len(self._table.shapes))
-        word = self._word_list[w]
-        lvs = (Leaf(base, phi - d) for (base, phi), d in zip(word, self._table.depths[s]))
-        return _build_from_shape(self._table.shapes[s], lvs)
+        table = self.shapes.table
+        s = self.shapes.columns[column]
+        lvs = (Leaf(base, phi - d) for (base, phi), d in zip(self.word, table.depths[s]))
+        return _build_from_shape(table.shapes[s], lvs)
 
     @property
     def monomials(self) -> "_Trees":
@@ -432,15 +411,18 @@ class _PhiComponent:
 
     @property
     def rank(self) -> int:
-        return self.space.rank
+        return self.shapes.space.rank
 
-    def reduce(self, terms: Dict[Tuple[object, PhiWord], object]) -> Dict[Monomial, object]:
-        """Reduce terms keyed by (shape, phi word) of columns; the residual
-        is keyed by tree."""
-        index, shape_count = self._table.index, len(self._table.shapes)
-        row = {self._position[self._words[word] * shape_count + index[shape]]: c
-               for (shape, word), c in terms.items()}
-        return {self._tree(i): c for i, c in self.space.reduce(row).items()}
+    @property
+    def truncated(self) -> bool:
+        return self.shapes.truncated
+
+    def reduce(self, terms: Dict[object, object]) -> Dict[Monomial, object]:
+        """Reduce terms keyed by the shapes of columns; the residual is
+        keyed by tree."""
+        index, position = self.shapes.table.index, self.shapes.position
+        row = {position[index[shape]]: c for shape, c in terms.items()}
+        return {self._tree(i): c for i, c in self.shapes.space.reduce(row).items()}
 
 
 class _Trees(Sequence):
@@ -451,7 +433,7 @@ class _Trees(Sequence):
         self._comp = comp
 
     def __len__(self) -> int:
-        return len(self._comp._keys)
+        return len(self._comp.shapes.columns)
 
     def __getitem__(self, column: int) -> Monomial:
         return self._comp._tree(column)
@@ -486,13 +468,17 @@ class FreeHomAssocQuotient:
         self.generators = tuple(generators)
         self.degree_bound = degree_bound
         self.exp_bound = exp_bound
-        self._components: Dict[Tuple[Tuple[str, int], ...], _PhiComponent] = {}
+        self._components: Dict[PhiWord, _PhiComponent] = {}
+        self._shapes: Dict[Tuple[int, ...], _PhiShapes] = {}  # by phi sequence
 
-    def component(self, signature: Tuple[Tuple[str, int], ...]) -> _PhiComponent:
-        comp = self._components.get(signature)
+    def component(self, word: PhiWord) -> _PhiComponent:
+        comp = self._components.get(word)
         if comp is None:
-            comp = _PhiComponent(signature, self.exp_bound)
-            self._components[signature] = comp
+            phis = tuple(phi for _, phi in word)
+            shapes = self._shapes.get(phis)
+            if shapes is None:
+                shapes = self._shapes[phis] = _PhiShapes(phis, self.exp_bound)
+            comp = self._components[word] = _PhiComponent(word, shapes)
         return comp
 
     def _shape_word(self, m: Monomial) -> Tuple[object, PhiWord]:
@@ -509,15 +495,15 @@ class FreeHomAssocQuotient:
         return shape, tuple((l.base, l.exp + d) for l, d in lvs)
 
     def reduce(self, p: Poly) -> Reduction:
-        groups: Dict[Tuple[Tuple[str, int], ...], Dict[Tuple[object, PhiWord], object]] = {}
+        groups: Dict[PhiWord, Dict[object, object]] = {}
         for m, c in p.terms.items():
             if m is not UNIT:
                 shape, word = self._shape_word(m)
-                groups.setdefault(tuple(sorted(word)), {})[shape, word] = c
+                groups.setdefault(word, {})[shape] = c
         out = [(UNIT, p.coeff(UNIT))]
         truncated = False
-        for sig, terms in groups.items():
-            comp = self.component(sig)
+        for word, terms in groups.items():
+            comp = self.component(word)
             truncated = truncated or comp.truncated
             out.extend(comp.reduce(terms).items())
         return Reduction(Poly(collect(out)), truncated)

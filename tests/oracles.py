@@ -242,17 +242,18 @@ def sampled_power_check(spec, max_power=6, samples=100, seed=2024):
 
 
 def tree_component(signature, exp_bound):
-    """A quotient component built on trees: (monomials, row space,
-    truncated). Every (shape, permutation) pair with no negative exponent
-    is a tree; one above the bound truncates, the others are the members,
-    sorted by mono_key into columns. Each member gets one row per one-way
-    rewrite alpha(A)(BC) -> (AB)alpha(C) of a subtree whose target is a
-    member, members in column order, subtrees in preorder."""
+    """The quotient's relations on the trees of one (generator, exp + depth)
+    multiset: (monomials, row space, above). Every (shape, permutation) pair
+    with no negative exponent is a tree; above is the set of permutations,
+    as phi words, that give a tree above the bound, and the other trees are
+    the members, sorted by mono_key into columns. Each member gets one row
+    per one-way rewrite alpha(A)(BC) -> (AB)alpha(C) of a subtree whose
+    target is a member, members in column order, subtrees in preorder."""
     from homforge.expr import Leaf, Node, alpha_mono, leaves, map_leaves, mono_key
     from homforge.hombialg import _build_from_shape, _shape_depths, _tree_shapes
     from homforge.linalg import RowSpace
 
-    monomials, truncated = [], False
+    monomials, above = [], set()
     for shape in _tree_shapes(len(signature)):
         depths = _shape_depths(shape)
         for perm in set(itertools.permutations(signature)):
@@ -260,7 +261,7 @@ def tree_component(signature, exp_bound):
             if min(exps) < 0:
                 continue
             if max(exps) > exp_bound:
-                truncated = True
+                above.add(perm)
             else:
                 lvs = (Leaf(base, e) for (base, _), e in zip(perm, exps))
                 monomials.append(_build_from_shape(shape, lvs))
@@ -284,4 +285,4 @@ def tree_component(signature, exp_bound):
         for m2 in rewrites(m):
             if m2 in position:
                 space.add({i: 1, position[m2]: -1})
-    return monomials, space, truncated
+    return monomials, space, above

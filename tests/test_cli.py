@@ -244,6 +244,8 @@ _PINNED_REPORTS = [
      "3d04056ab36000cd7f047af37cafeac49269f40828d4d9003b584a65b009efa9"),
     (["antipode", "--word", "(((a*a)*(a*b))*(a*a))"], 0,
      "46361e8cb1b9fd1271683801be14007909ba3a749d05adca6509d84d723d77ba"),
+    (["antipode", "--word", "((a*b)*(c*d))*((e*f)*g)"], 0,
+     "1bf7d727c7f930fa65bb2ffaecf17397a438ecfe3a780ece5c415dea7413b7b0"),
     (["antipode", "--word", "(a*b)*c", "--degree", "1"], 3,
      "7ef0fc8950405f6d89d12bd48acb1ee2a1aadb1ce8d1f33492be1ee3951b2370"),
     (["antipode", "--word", "(a*b)*c", "--exp-bound", "0"], 3,

@@ -53,7 +53,6 @@ from homforge.fdalg import (
     zero_matrix,
 )
 from homforge.hombialg import (
-    _PhiComponent,
     _build_from_shape,
     _relation_templates,
     _shape_depths,
@@ -61,6 +60,7 @@ from homforge.hombialg import (
     BoundsError,
     FilteredQuotient,
     FreeHomAssocQuotient,
+    Reduction,
     Template,
     TensorElement,
     alpha_injectivity_probe,
@@ -78,7 +78,7 @@ from homforge.hombialg import (
     delta_summand,
     expand_exponents,
     is_primitive,
-    phi_signature,
+    phi_word,
     pi_map,
     u_hom,
     u_hom_relations,
@@ -291,22 +291,36 @@ def _two_way_component(signature, exp_bound):
 
 
 def test_component_matches_two_way_rewrites():
-    """Rewriting in one direction, with truncation taken from the enumeration
-    alone, gives the same monomials, row space and truncated flag as both
-    directions with out-of-bounds targets marking truncation."""
+    """Rewriting in one direction within each phi word, with truncation
+    taken from the enumeration alone, gives over the words that order a
+    signature the same monomials, summed rank and row space, and the same
+    truncated flag, as both directions on the signature's trees with
+    out-of-bounds targets marking truncation. Every relation of the latter
+    joins trees of one word."""
     words = [m for d in range(1, 5)
              for m in FreeHomAssocQuotient(("a", "b", "c"), d, 1).monomials_of_degree(d)]
     words += FreeHomAssocQuotient(("a", "b"), 5, 1).monomials_of_degree(5)
-    signatures = {phi_signature(m) for m in words}
+    signatures = {tuple(sorted(phi_word(m))) for m in words}
     assert len(signatures) > 1000
     for exp_bound in (1, 2, 3, 6):
+        q = FreeHomAssocQuotient(("a", "b", "c"), 5, exp_bound)
         for sig in signatures:
-            comp = _PhiComponent(sig, exp_bound)
             members, space, truncated = _two_way_component(sig, exp_bound)
-            assert set(comp.monomials) == members and len(comp.monomials) == len(members)
-            assert (comp.rank, comp.truncated) == (space.rank, truncated), sig
-            assert all(not space.reduce(row) for row in comp.space.rows.values()), sig
-            assert all(not comp.space.reduce(row) for row in space.rows.values()), sig
+            ordered = sorted(members, key=mono_key)
+            position = {m: i for i, m in enumerate(ordered)}
+            comps = [q.component(w) for w in set(itertools.permutations(sig))]
+            trees = [list(comp.monomials) for comp in comps]
+            column = {m: (comp, i) for comp, ts in zip(comps, trees) for i, m in enumerate(ts)}
+            assert column.keys() == members and sum(map(len, trees)) == len(members)
+            assert (sum(c.rank for c in comps), any(c.truncated for c in comps)) == (
+                space.rank, truncated), sig
+            for comp, ts in zip(comps, trees):
+                for row in comp.shapes.space.rows.values():
+                    assert not space.reduce({position[ts[i]]: c for i, c in row.items()}), sig
+            for row in space.rows.values():
+                (comp,) = {column[ordered[i]][0] for i in row}
+                assert not comp.shapes.space.reduce(
+                    {column[ordered[i]][1]: c for i, c in row.items()}), sig
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,16 +328,61 @@ def test_component_matches_two_way_rewrites():
     st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 6)), min_size=1, max_size=6),
     st.integers(0, 6),
 )
-def test_component_matches_tree_enumeration(pairs, exp_bound):
-    """Columns from the shape tables and rows from shape rotations give the
-    trees in the same order, the same truncated flag and the same stored
-    rows, stored in the same order, as enumerating trees, sorting them by
-    mono_key and rewriting subtrees."""
-    sig = tuple(sorted(pairs))
-    comp = _PhiComponent(sig, exp_bound)
-    monomials, space, truncated = tree_component(sig, exp_bound)
-    assert (list(comp.monomials), comp.truncated) == (monomials, truncated)
-    assert list(comp.space.rows.items()) == list(space.rows.items())
+def test_component_matches_tree_enumeration(word, exp_bound):
+    """Columns from the shape tables and rows from shape rotations give a
+    phi word's trees in the same order, its rows stored in the same order
+    and its truncated flag, as enumerating the trees of the word's
+    signature, sorting them by mono_key and rewriting subtrees."""
+    word = tuple(word)
+    comp = FreeHomAssocQuotient(("a", "b", "c"), len(word), exp_bound).component(word)
+    monomials, space, above = tree_component(tuple(sorted(word)), exp_bound)
+    mine = [m for m in monomials if phi_word(m) == word]
+    assert (list(comp.monomials), comp.truncated) == (mine, word in above)
+    position = {m: i for i, m in enumerate(monomials)}
+    assert [(position[mine[p]], {position[mine[i]]: c for i, c in row.items()})
+            for p, row in comp.shapes.space.rows.items()] == [
+        (p, row) for p, row in space.rows.items() if phi_word(monomials[p]) == word]
+
+
+@st.composite
+def _bounded_polys(draw):
+    """(exponent bound, a polynomial of trees over a, b of degree <= 5
+    inside it): drawn trees, each with some of its Hom-associativity
+    rewrites in bounds, on small integer coefficients."""
+    exp_bound = draw(st.integers(0, 3))
+    leaf = st.builds(Leaf, st.sampled_from("ab"), st.integers(0, exp_bound))
+    tree = st.recursive(leaf, lambda t: st.builds(lambda a, b: Node("mu", (a, b)), t, t),
+                        max_leaves=5).filter(lambda m: degree(m) <= 5)
+    terms = []
+    for m in draw(st.lists(tree, min_size=1, max_size=4)):
+        terms.append(m)
+        near = [r for r in _two_way_rewrites(m) if max(l.exp for l in leaves(r)) <= exp_bound]
+        if near:
+            terms += draw(st.lists(st.sampled_from(near), max_size=3))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(terms), max_size=len(terms)))
+    return exp_bound, Poly(collect(zip(terms, coeffs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_polys())
+def test_reduce_matches_signature_components(case):
+    """Reducing by phi word gives the normal form that reducing each
+    signature's terms against all of that signature's trees gives, and the
+    status that the words met with a tree above the bound give."""
+    exp_bound, p = case
+    groups = {}
+    for m, c in p.terms.items():
+        groups.setdefault(tuple(sorted(phi_word(m))), {})[m] = c
+    nf, truncated = {}, False
+    for sig, terms in groups.items():
+        monomials, space, above = tree_component(sig, exp_bound)
+        position = {m: i for i, m in enumerate(monomials)}
+        res = space.reduce({position[m]: c for m, c in terms.items()})
+        nf.update((monomials[i], c) for i, c in res.items())
+        truncated = truncated or any(phi_word(m) in above for m in terms)
+    red = FreeHomAssocQuotient(("a", "b"), 5, exp_bound).reduce(p)
+    assert red.normal_form == Poly(nf)
+    assert red.status == Reduction(Poly(nf), truncated).status
 
 
 def _rewrite_classes(comp):
@@ -358,7 +417,7 @@ def test_quotient_rank_matches_union_find():
     shared = FreeHomAssocQuotient(("a", "b", "c"), 4, 8)
     for d in range(1, 5):
         for m in all_binary_monomials(("a", "b", "c"), d):
-            shared.component(phi_signature(m))
+            shared.component(phi_word(m))
             assert check_antipode(m, quotient=shared).ok, m
     components = list(shared._components.values())
     for w in DEGREE_FIVE_WORDS:
@@ -369,15 +428,18 @@ def test_quotient_rank_matches_union_find():
         components += q._components.values()
     assert len(components) > 100
     for comp in components:
-        assert comp.rank == len(comp.monomials) - _rewrite_classes(comp), comp.signature
+        assert comp.rank == len(comp.monomials) - _rewrite_classes(comp), comp.word
 
 
 def test_truncation_needs_a_tree_above_the_bound():
-    """A (shape, permutation) pair with a negative exponent on any leaf is
-    no tree, so it cannot truncate its component, whichever leaf is met first."""
+    """A shape that gives a negative exponent on any leaf is no tree, so it
+    cannot truncate its word's component, whichever leaf is met first."""
     m = mono("((A^1(a)*b)*c)")
-    comp = _PhiComponent(phi_signature(m), 1)
-    assert (len(comp.monomials), comp.rank, comp.truncated) == (4, 0, False)
+    # the word (a, 3), (b, 2), (c, 1) on the other shape, x*(y*z), would be
+    # A^2(a)*(b*A^-1(c)): a above the bound, then c negative, so m is the
+    # only tree
+    comp = FreeHomAssocQuotient(("a", "b", "c"), 3, 1).component(phi_word(m))
+    assert (len(comp.monomials), comp.rank, comp.truncated) == (1, 0, False)
     assert FreeHomAssocQuotient(("a", "b", "c"), 3, 1).reduce(Poly.monomial(m)).status == "nonzero"
     abc = Poly.monomial(mono("((a*b)*c)"))
     assert FreeHomAssocQuotient(("a", "b", "c"), 3, 0).reduce(abc).status == "nonzero"
@@ -388,8 +450,16 @@ def test_antipode_degree_six_repeated_word():
 
 
 def test_antipode_degree_six_distinct_letters():
-    """One component of 23,328 monomials, with the default bounds."""
+    """The defect meets 32 phi words, whose components hold 980 monomials,
+    with the default bounds."""
     assert check_antipode(mono("((a*b)*(c*d))*(e*f)")).status == "pass"
+
+
+def test_antipode_degree_seven_and_eight():
+    """The degree-7 word meets 64 phi words of 4,720 monomials, the degree-8
+    word 126 of 12,068, with the default bounds."""
+    assert check_antipode(mono("((a*b)*(c*d))*((e*f)*g)")).status == "pass"
+    assert check_antipode(mono("(((a*b)*(c*d))*((e*f)*g))*h")).status == "pass"
 
 
 def test_antipode_inconclusive_on_tight_bounds():
@@ -412,7 +482,7 @@ def test_quotient_kills_hom_associativity_generator():
 def _degree_report(q, n):
     """(quotient dimension, relation rank) of the degree-n piece of q."""
     monos = q.monomials_of_degree(n)
-    rank = sum(q.component(sig).rank for sig in {phi_signature(m) for m in monos})
+    rank = sum(q.component(word).rank for word in {phi_word(m) for m in monos})
     return len(monos) - rank, rank
 
 

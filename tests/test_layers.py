@@ -32,18 +32,20 @@ def test_component_hooks_read_what_a_component_has():
 
     layertrace = _layertrace()
     before, after = layertrace.HOOKS["hombialg.FreeHomAssocQuotient.component"]
-    q = FreeHomAssocQuotient(("a", "b", "c"), 3, 1)
-    sig = (("a", 2), ("b", 2), ("c", 3))
+    q = FreeHomAssocQuotient(("a", "b", "c", "d"), 4, 1)
+    word = (("a", 2), ("b", 3), ("c", 3), ("d", 3))
     layer = layertrace.Layer()
     for hit in (False, True):
-        token = before((q, sig))
+        token = before((q, word))
         assert token is hit
-        comp = q.component(sig)
-        after(layer, token, (q, sig), comp)
-    # eight trees with c at depth 2, joined in two pairs such as
-    # A^1(a)*(A^1(c)*b) = (a*A^1(c))*A^1(b); c at depth 1 is above the bound
-    assert (len(comp.monomials), comp.rank, comp.truncated) == (8, 2, True)
-    assert layer.counts == {"built": 1, "monomials": 8, "rank": 2, "truncated": 1, "hits": 1}
+        comp = q.component(word)
+        after(layer, token, (q, word), comp)
+    # three trees, joined in one class by two rotations:
+    # A^1(a)*(A^1(b)*(c*d)) = A^1(a)*((b*c)*A^1(d)) = (a*A^1(b))*(A^1(c)*A^1(d));
+    # (a*(b*c))*A^2(d) is above the bound, and the left comb would give a
+    # the exponent -1
+    assert (len(comp.monomials), comp.rank, comp.truncated) == (3, 2, True)
+    assert layer.counts == {"built": 1, "monomials": 3, "rank": 2, "truncated": 1, "hits": 1}
 
 
 def test_envelope_metrics_move_under_the_tracer(capsys):

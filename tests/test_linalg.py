@@ -159,7 +159,7 @@ def test_rowspace_keeps_integral_coefficients_as_ints(rows, probes):
 def test_binomial_component_rows_are_ints(monkeypatch):
     """The antipode quotient's Hom-associativity rows are +-1 binomials, so
     their echelon form stays on int arithmetic with pivots 1, and is built
-    with no gcd, lcm or scaling: the component that the antipode check of
+    with no gcd, lcm or scaling: the components that the antipode check of
     (a*b)*(c*d) reduces in."""
     def forbidden(*args):
         raise AssertionError(f"gcd/lcm called on a pivot-1 row: {args}")
@@ -168,10 +168,14 @@ def test_binomial_component_rows_are_ints(monkeypatch):
     monkeypatch.setattr(linalg, "lcm", forbidden)
     q = FreeHomAssocQuotient(("a", "b", "c", "d"), 4, 8)
     assert check_antipode(parse_poly("(a*b)*(c*d)").sorted_terms()[0][0], quotient=q).ok
-    comp = q.component((("a", 4), ("b", 4), ("c", 4), ("d", 4)))
-    assert (len(comp.monomials), comp.rank) == (120, 96)
-    assert all(type(c) is int for row in comp.space.rows.values() for c in row.values())
-    assert all(row[p] == 1 for p, row in comp.space.rows.items())
+    # the defect meets 8 orderings of a, b, c, d, each at phi 4 on every
+    # leaf, so they share the shapes of one phi sequence: all 5 shapes of 4
+    # leaves are trees there, joined by rotations into one class
+    comps = list(q._components.values())
+    assert [(len(c.monomials), c.rank) for c in comps] == [(5, 4)] * 8
+    (shapes,) = q._shapes.values()
+    assert all(type(c) is int for row in shapes.space.rows.values() for c in row.values())
+    assert all(row[p] == 1 for p, row in shapes.space.rows.items())
 
 
 @settings(max_examples=150, deadline=None)
