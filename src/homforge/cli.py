@@ -1,9 +1,9 @@
 """Command-line front end: parse specs and expressions, dispatch, report.
 
 One subcommand per engine capability; batch verification only. Exit codes:
-0 pass, 1 fail/counterexample, 2 usage or parse error, 3 inconclusive within
-bounds. JSON reports are deterministic for fixed inputs (timing is printed
-on the human side only).
+0 pass, 1 fail/counterexample, 2 usage or parse error; antipode's quotient
+takes its bounds from the word and decides it. JSON reports are
+deterministic for fixed inputs (timing is printed on the human side only).
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ from .rationals import rat_from_json, rat_str
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 
-_STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
+_STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL}
 
 
 def _emit(args, command: str, status: str, payload: dict, human: List[str], t0: float) -> int:
@@ -175,7 +174,9 @@ _Q_LETTERS = {  # the worked low-order cases use the paper's letters
 
 def cmd_qalpha(args) -> int:
     t0 = time.perf_counter()
-    if args.symbolic or not args.algebra:
+    if not args.algebra:
+        if args.twist or args.alpha_zero or args.args:
+            raise ParseError("--twist, --alpha-zero and --args need --algebra")
         from .qops import QSolver
 
         if (args.n, args.m) in _Q_LETTERS:
@@ -272,14 +273,12 @@ def cmd_antipode(args) -> int:
     (mono, coeff), = p.terms.items()
     if coeff != 1:
         raise ParseError("--word must be an unscaled monomial")
-    res = check_antipode(mono, degree_bound=args.degree, exp_bound=args.exp_bound)
+    res = check_antipode(mono)
     human = [
         f"antipode check for {res.word}: {res.status} "
         f"(degree <= {res.degree_bound}, exponents <= {res.exp_bound})"
     ]
-    if res.bounds_error:
-        human.append(f"  the defect is outside the bounds: {res.bounds_error}")
-    elif not res.ok:
+    if not res.ok:
         human.append(f"  residual normal form: {render_poly(res.normal_form)}")
     return _emit(args, "antipode", res.status, res.to_json(), human, t0)
 
@@ -337,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qalpha", help="q^alpha operations")
     p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--m", type=_at_least(0), required=True)
-    p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--algebra", help="bundled name or JSON file")
+    p.add_argument("--algebra", help="bundled name or JSON file; symbolic without it")
     p.add_argument("--twist", help="JSON matrix file, or 'bundled'")
     p.add_argument("--alpha-zero", action="store_true", dest="alpha_zero")
     p.add_argument("--args", help='numeric arguments, e.g. "e1,e2;e3;e4"')
@@ -369,10 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, algebra=True)
     p.set_defaults(func=cmd_envelope)
 
-    p = sub.add_parser("antipode", help="antipode identity in the bounded quotient")
+    p = sub.add_parser("antipode", help="antipode identity in the free Hom-associative algebra")
     p.add_argument("--word", required=True, help="monomial in the expression grammar")
-    p.add_argument("--degree", type=_at_least(1), default=None)
-    p.add_argument("--exp-bound", type=_at_least(0), default=None, dest="exp_bound")
     common(p)
     p.set_defaults(func=cmd_antipode)
 

@@ -12,7 +12,8 @@ per summand.
 
 Quotients are degree/exponent bounded: ideal membership inside the bounds is
 decided by exact row reduction; a nonzero normal form in a truncated
-component is reported as inconclusive, never as a refutation.
+component is reported as inconclusive, never as a refutation. The bounds
+check_antipode and alpha_injectivity_probe take truncate nothing they meet.
 """
 
 from __future__ import annotations
@@ -522,8 +523,8 @@ class AntipodeResult:
     degree_bound: int
     exp_bound: int
     normal_form: Poly
-    # the BoundsError message when the defect itself is outside the bounds;
-    # normal_form is then the unreduced defect
+    # the BoundsError message when the defect itself is outside a caller's
+    # quotient; normal_form is then the unreduced defect
     bounds_error: Optional[str] = None
 
     @property
@@ -539,23 +540,24 @@ class AntipodeResult:
         }
 
 
-def check_antipode(
-    m: Monomial,
-    quotient: Optional[FreeHomAssocQuotient] = None,
-    degree_bound: Optional[int] = None,
-    exp_bound: Optional[int] = None,
-) -> AntipodeResult:
-    """Reduce alpha(sum u_(1) S(u_(2)) - u(eps(u))) in the bounded quotient.
+def check_antipode(m: Monomial, quotient: Optional[FreeHomAssocQuotient] = None) -> AntipodeResult:
+    """Reduce alpha(sum u_(1) S(u_(2)) - u(eps(u))) in the free
+    Hom-associative quotient: "pass" or "fail".
 
-    Default bounds: degree = |u| and exponent = 2|u|, twice the margin the
-    worked low-degree computations ever need.
+    Without a quotient, u's own has degree d = max(|u|, 1) and exponent
+    2d + e, e being u's largest leaf exponent, which truncates nothing. A
+    defect leaf's exponent is at most e, + 1 for alpha, + 1 per ancestor
+    whose sibling the coproduct sent to the unit side (at most |u| - 1),
+    + 1 for a final unit factor: e + |u| + 1. Its depth is at most |u| - 1,
+    so its phi is at most 2d + e, and so is every phi of its component: no
+    tree is out of bounds and no shape is truncated. Only a caller's
+    quotient can be tighter, and leave the result "inconclusive".
     """
-    d = degree(m)
     if quotient is None:
-        degree_bound = degree_bound if degree_bound is not None else max(d, 1)
-        exp_bound = exp_bound if exp_bound is not None else 2 * max(d, 1)
-        gens = sorted({l.base for l in leaves(m)}) or ["x"]
-        quotient = FreeHomAssocQuotient(gens, degree_bound, exp_bound)
+        d = max(degree(m), 1)
+        lvs = leaves(m)
+        gens = sorted({l.base for l in lvs}) or ["x"]
+        quotient = FreeHomAssocQuotient(gens, d, 2 * d + max((l.exp for l in lvs), default=0))
     defect = antipode_defect(m)
     bounds_error = None
     try:
@@ -578,27 +580,24 @@ def alpha_injectivity_probe(
 ) -> Dict[int, str]:
     """Finite sections of injectivity of the twisting map on F_{alpha,ass}.
 
-    For each degree n: whenever alpha(p) lies in the bounded relation span,
-    check that p already does. Returns {degree: "pass", "fail" or
-    "inconclusive"}: a p with a nonzero normal form fails the section when
-    none of the components it meets was truncated, and leaves it
-    inconclusive otherwise.
+    For each degree n, over the monomials of degree n with leaf exponents
+    <= exp_bound: whenever alpha(p) lies in the relation span, check that p
+    already does. Returns {degree: "pass" or "fail"}. The quotient's
+    exponent bound exp_bound + max_degree is at least every phi of those
+    monomials and of their images under alpha, so the components they meet
+    are not truncated and both memberships are decided.
     """
-    quotient = FreeHomAssocQuotient(generators, max_degree, exp_bound + 1)
-    inner = FreeHomAssocQuotient(generators, max_degree, exp_bound)
+    quotient = FreeHomAssocQuotient(generators, max_degree, exp_bound + max_degree)
     out: Dict[int, str] = {}
     for n in range(1, max_degree + 1):
-        monos = inner.monomials_of_degree(n)
+        monos = _monomials(generators, n, exp_bound)
         images = [dict(quotient.nf(apply_alpha(Poly.monomial(m), 1)).terms) for m in monos]
         out[n] = "pass"
         for combo in kernel(images, key=mono_key):
             p = Poly({m: c for m, c in zip(monos, combo) if c != 0})
-            status = inner.reduce(p).status
-            if status == "nonzero":
+            if not quotient.reduce(p).is_zero():
                 out[n] = "fail"
                 break
-            if status == "inconclusive":
-                out[n] = "inconclusive"
     return out
 
 
@@ -679,11 +678,11 @@ class FilteredQuotient:
     whose pivot sits in degree <= k span the computed ideal section there.
     The relations are rows over these columns, as u_hom_relations gives
     them, closed under multiplication by monomials within the bound through
-    a product table of columns (a relation met twice, as a set of terms, is
-    closed once) and added in pivot order as primitive integer rows. nf
-    numbers a monomial through its Template over S, by the same rule,
-    divides once, returns exact rationals, and rejects a monomial with no
-    column (the unit, a twisted leaf, a letter outside S, a degree above d).
+    a product table of columns and added in pivot order as primitive
+    integer rows (a repeated relation adds a dependent row). nf numbers a
+    monomial through its Template over S, by the same rule, divides once,
+    returns exact rationals, and rejects a monomial with no column (the
+    unit, a twisted leaf, a letter outside S, a degree above d).
     """
 
     def __init__(self, spec: AlgebraSpec, relations: Sequence[Dict[int, object]],
@@ -734,15 +733,10 @@ class FilteredQuotient:
 
     def _closure(self, relations: Sequence[Dict[int, object]],
                  times: Dict[int, Dict[int, int]]) -> List[Dict[int, object]]:
-        seen = set()
         work = list(relations)
         out: List[Dict[int, object]] = []
         while work:
             r = work.pop()
-            key = frozenset(r.items())
-            if key in seen:
-                continue
-            seen.add(key)
             out.append(r)
             # distinct monomials have distinct products: nothing to collect
             for n in range(1, self.degree_bound - self._degree[max(r)] + 1):
@@ -816,8 +810,9 @@ def _relation_templates(fam: OpFamily, degree_bound: int):
     dim = fam.spec.dim
     solver = QSolver()
     a, b = Leaf("a"), Leaf("b")
-    yield (fam.brackets[0], Poly({mul_mono(b, a): ONE, mul_mono(a, b): -ONE}), ("a", "b"),
-           [(i, j) for i in range(dim) for j in range(i, dim)])
+    if degree_bound >= 2:
+        yield (fam.brackets[0], Poly({mul_mono(b, a): ONE, mul_mono(a, b): -ONE}), ("a", "b"),
+               [(i, j) for i in range(dim) for j in range(i, dim)])
     for n in range(1, min(fam.cutoff, degree_bound - 2) + 1):
         u = tuple(f"u{i}" for i in range(n))
         words = (w for w in itertools.product(range(dim), repeat=n + 2) if w[-2] < w[-1])

@@ -105,14 +105,25 @@ def test_check_json_deterministic(capsys):
 
 
 def test_qalpha_symbolic(capsys):
-    code, out, _ = run(capsys, "qalpha", "--n", "2", "--m", "1", "--symbolic")
+    """Without --algebra, qalpha prints the symbolic formula."""
+    code, out, _ = run(capsys, "qalpha", "--n", "2", "--m", "1")
     assert code == 0
     assert "q_{2,1}" in out
     # the printed three-term shape in the paper's letters
     assert "((x*y)*A^1(t))*A^2(z)" in out and "A^2(x)" in out and "A^2(y)" in out
-    code, out, _ = run(capsys, "qalpha", "--n", "3", "--m", "1", "--symbolic")
+    code, out, _ = run(capsys, "qalpha", "--n", "3", "--m", "1")
     assert code == 0
     assert "x1" in out  # canonical letters beyond the worked cases
+
+
+@pytest.mark.parametrize("extra", [["--args", "h;x;y"], ["--twist", "bundled"], ["--alpha-zero"]],
+                         ids=["args", "twist", "alpha-zero"])
+def test_qalpha_numeric_options_need_an_algebra(capsys, extra):
+    """An option of the numeric mode without --algebra is a usage error,
+    not a symbolic formula that ignores it."""
+    code, out, err = run(capsys, "qalpha", "--n", "1", "--m", "1", *extra)
+    assert code == 2 and not out
+    assert err == "error: --twist, --alpha-zero and --args need --algebra\n"
 
 
 def test_check_twist_matrix_file(capsys, tmp_path):
@@ -163,6 +174,18 @@ def test_envelope_alpha_zero(capsys):
     assert doc["degrees"]["2"] == [6, 3]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--algebra", "sl2", "--class", "lie"],
+    ["--algebra", "sl2", "--alpha-zero", "--class", "lie"],
+    ["--algebra", "heis3", "--class", "yiii"],
+], ids=["sl2-lie", "sl2-alpha-zero", "heis3-yiii"])
+def test_envelope_degree_one_is_the_space_itself(capsys, argv):
+    """No relation has degree 1: the degree-1 piece is V, with rank 0."""
+    code, out, _ = run(capsys, "envelope", *argv, "--degree", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["degrees"] == {"1": [3, 0]}
+
+
 def _envelope_dims(capsys, *argv, degree=4):
     code, out, _ = run(capsys, "envelope", *argv, "--degree", str(degree), "--json")
     assert code == 0
@@ -210,28 +233,35 @@ def test_yiii_envelope_has_pbw_dims(capsys):
 def test_antipode_cli(capsys):
     code, out, _ = run(capsys, "antipode", "--word", "((x*y)*z)")
     assert code == 0
-    code, _, _ = run(
-        capsys, "antipode", "--word", "((x*y)*z)", "--degree", "3",
-        "--exp-bound", "0",
-    )
-    assert code == 3  # inconclusive within bounds
+    assert "(degree <= 3, exponents <= 6)" in out
 
 
-def test_antipode_names_the_bound_the_defect_exceeds(capsys):
-    """A defect outside the bounds is reported as such, not as a residual
-    normal form; the JSON report is the same as before."""
+def test_antipode_twisted_word_is_decided(capsys):
+    """The quotient's exponent bound grows with the word's largest leaf
+    exponent: 2 * 3 + 9 here, which the defect's A^11 fits."""
+    code, out, _ = run(capsys, "antipode", "--word", "(A^9(a)*b)*c", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["bounds"]) == ("pass", {"degree": 3, "exp": 15})
+
+
+def test_antipode_names_the_bound_the_defect_exceeds():
+    """A defect outside a caller's quotient is reported as such, with the
+    unreduced defect as its normal form and the same JSON keys."""
+    from homforge.expr import parse_poly
+    from homforge.hombialg import FreeHomAssocQuotient, antipode_defect, check_antipode
+
+    (word,) = parse_poly("(a*b)*c").terms
     for bounds, why in (
-        (["--degree", "1"], "monomial degree 3 exceeds bound 1"),
-        (["--exp-bound", "0"], "exponent 3 exceeds bound 0"),
+        ((1, 6), "monomial degree 3 exceeds bound 1"),
+        ((3, 0), "exponent 3 exceeds bound 0"),
     ):
-        code, out, _ = run(capsys, "antipode", "--word", "(a*b)*c", *bounds)
-        assert code == 3
-        assert f"  the defect is outside the bounds: {why}\n" in out
-        assert "residual" not in out
-        code, out, _ = run(capsys, "antipode", "--word", "(a*b)*c", *bounds, "--json")
-        assert set(json.loads(out)) == {"command", "status", "word", "bounds", "normal_form"}
-    code, out, _ = run(capsys, "antipode", "--word", "(a*b)*c", "--exp-bound", "3")
-    assert code == 0 and "outside" not in out
+        res = check_antipode(word, quotient=FreeHomAssocQuotient(("a", "b", "c"), *bounds))
+        assert (res.status, res.bounds_error) == ("inconclusive", why)
+        assert res.normal_form == antipode_defect(word)
+        assert set(res.to_json()) == {"word", "status", "bounds", "normal_form"}
+    res = check_antipode(word, quotient=FreeHomAssocQuotient(("a", "b", "c"), 3, 3))
+    assert res.ok and res.bounds_error is None
 
 
 # SHA-256 of reports made when the antipode defect was composed from whole
@@ -246,10 +276,6 @@ _PINNED_REPORTS = [
      "46361e8cb1b9fd1271683801be14007909ba3a749d05adca6509d84d723d77ba"),
     (["antipode", "--word", "((a*b)*(c*d))*((e*f)*g)"], 0,
      "1bf7d727c7f930fa65bb2ffaecf17397a438ecfe3a780ece5c415dea7413b7b0"),
-    (["antipode", "--word", "(a*b)*c", "--degree", "1"], 3,
-     "7ef0fc8950405f6d89d12bd48acb1ee2a1aadb1ce8d1f33492be1ee3951b2370"),
-    (["antipode", "--word", "(a*b)*c", "--exp-bound", "0"], 3,
-     "5c4d4ad00a1b38b9fc87caad70c792400c65218fa93480bc101ea9541b3a1ec1"),
     (["coproduct", "--expr", "((x*y)*z)"], 0,
      "86278c9b24a949aadbb50163566a983f6251842ba488099bf5b4bca63a43a313"),
     (["coproduct", "--expr", "(x*1)"], 0,
@@ -424,13 +450,10 @@ def test_identity_trees_must_match_their_signature(capsys, tmp_path, tree, named
         (["qalpha", "--n", "-1", "--m", "1", "--algebra", "sl2", "--args", ";x;h"], "--n"),
         (["qalpha", "--n", "1", "--m", "-1", "--algebra", "sl2", "--args", "h;;h"], "--m"),
         (["qalpha", "--n", "1", "--m", "1", "--algebra", "sl2", "--args", "h;w;h"], "'w'"),
-        (["antipode", "--word", "(a*b)*c", "--degree", "0"], "--degree"),
-        (["antipode", "--word", "(a*b)*c", "--exp-bound", "-1"], "--exp-bound"),
     ],
     ids=[
         "jobs-0", "jobs-negative", "cutoff-negative", "degree-0", "max-1",
-        "n-negative", "m-negative", "unknown-basis-letter", "antipode-degree-0",
-        "exp-bound-negative",
+        "n-negative", "m-negative", "unknown-basis-letter",
     ],
 )
 def test_integer_options_and_basis_letters_are_checked(capsys, argv, named):

@@ -463,11 +463,37 @@ def test_antipode_degree_seven_and_eight():
 
 
 def test_antipode_inconclusive_on_tight_bounds():
-    res = check_antipode(mono("((x*y)*z)"), degree_bound=3, exp_bound=1)
+    """Only a caller's quotient can leave the check inconclusive."""
+    m = mono("((x*y)*z)")
+    res = check_antipode(m, quotient=FreeHomAssocQuotient(("x", "y", "z"), 3, 1))
     assert res.status in ("inconclusive", "pass")
     # with exponent bound 0 the defect itself is out of bounds
-    res2 = check_antipode(mono("((x*y)*z)"), degree_bound=3, exp_bound=0)
-    assert res2.status == "inconclusive"
+    res2 = check_antipode(m, quotient=FreeHomAssocQuotient(("x", "y", "z"), 3, 0))
+    assert res2.status == "inconclusive" and res2.bounds_error
+
+
+@st.composite
+def twisted_words(draw):
+    """A binary word of degree <= 5 over a-c, leaf exponents 0 to 9."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(_tree_shapes(n)))
+    lvs = [Leaf(draw(st.sampled_from("abc")), draw(st.integers(0, 9))) for _ in range(n)]
+    return _build_from_shape(shape, iter(lvs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(twisted_words())
+def test_antipode_decides_every_twisted_word(m):
+    """The bounds check_antipode takes from the word truncate nothing: the
+    defect reduces to zero, and its components in the quotient of degree d
+    and exponent 2d + e_max hold every tree of their phi words."""
+    res = check_antipode(m)
+    assert res.status == "pass", render_poly(res.normal_form)
+    d, lvs = degree(m), leaves(m)
+    e_max = max(l.exp for l in lvs)
+    assert (res.degree_bound, res.exp_bound) == (d, 2 * d + e_max)
+    q = FreeHomAssocQuotient(sorted({l.base for l in lvs}), d, 2 * d + e_max)
+    assert not q.reduce(antipode_defect(m)).truncated
 
 
 def test_quotient_kills_hom_associativity_generator():
